@@ -14,7 +14,7 @@ echo "==> xlint (workspace determinism-contract static analysis)"
 # Zero unwaived findings, and the waiver count is pinned: a new inline
 # `// xlint: allow(...)` waiver anywhere in the tree requires an
 # explicit diff of the expected number below.
-XLINT_EXPECTED_WAIVERS=22
+XLINT_EXPECTED_WAIVERS=15
 xlint_out=$(cargo run -q -p xds-lint -- --stats) || {
     printf '%s\n' "$xlint_out"
     echo "ci.sh: xlint found determinism-contract violations"

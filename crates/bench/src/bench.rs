@@ -21,14 +21,14 @@
 //!   dominates up to 512, and at 1024 the per-epoch scheduling path
 //!   itself becomes the quantity under test (each point also records a
 //!   wall-clock phase split: estimate / decompose / apply). The two
-//!   largest points run on the sharded core at K = n (one source row
-//!   per shard): each window then drains one port's events against an
-//!   L2-resident VOQ row instead of streaming the full n² bank, which
-//!   is the locality optimization under test — on one CPU it beats the
-//!   classic core ~1.5× at both rungs, and the win grows under cache
-//!   pressure from co-tenants. Events and delivered bytes are
-//!   shard-count-invariant by the core's determinism contract, so these
-//!   points stay comparable to single-core baselines.
+//!   largest points run at K = n shards (one source row per shard):
+//!   each window then drains one port's events against an L2-resident
+//!   VOQ row instead of streaming the full n² bank, which is the
+//!   locality optimization under test — on one CPU it beats K = 1
+//!   ~1.5× at both rungs, and the win grows under cache pressure from
+//!   co-tenants. Events and delivered bytes are shard-count-invariant
+//!   by the core's determinism contract, so these points stay
+//!   comparable to K = 1 baselines.
 //!
 //! `--smoke` shrinks every horizon ~20× so CI can prove the harness
 //! itself still runs (seconds, not minutes) without producing numbers

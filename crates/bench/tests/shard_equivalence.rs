@@ -1,9 +1,8 @@
-//! Shard-count invariance of the parallel simulation core: every pinned
-//! bench-subset point must produce **byte-identical** serialized output
-//! whether it runs on the classic single-queue core (`shards = 1`) or on
-//! 2 or 4 port-group shards, and arbitrary (non-contiguous) port→shard
-//! assignments must reproduce the golden `fast_websearch` snapshot
-//! byte-for-byte.
+//! K-invariance of the simulation core: every pinned bench-subset point
+//! must produce **byte-identical** serialized output on 2 or 4 port-group
+//! shards as on one (`shards = 1`, the reference the golden traces pin),
+//! and arbitrary (non-contiguous) port→shard assignments must reproduce
+//! the golden `fast_websearch` snapshot byte-for-byte.
 //!
 //! This is the integration-level face of the determinism contract stated
 //! in `xds_core::runtime::shard`: sharding decides *how* the simulation
@@ -21,8 +20,8 @@ use xds_scenario::{library, ScenarioSpec};
 use xds_sim::{SimDuration, SimTime};
 
 /// Counters that are shard-count-invariant by contract: pure functions
-/// of the scheduler/grant/delivery event sequence, which the sharded
-/// core reproduces exactly. The structural ledgers (`queue_*`, `pool_*`)
+/// of the scheduler/grant/delivery event sequence, which every shard
+/// layout reproduces exactly. The structural ledgers (`queue_*`, `pool_*`)
 /// are excluded — they describe the executor's own data structures, of
 /// which a K-shard run legitimately has K.
 const BEHAVIORAL_COUNTERS: [&str; 15] = [
@@ -45,7 +44,7 @@ const BEHAVIORAL_COUNTERS: [&str; 15] = [
 
 /// The bench subset at test-friendly horizons (pinned seeds and shapes
 /// untouched), with the shard count stripped back to 1 so each point's
-/// classic-core run is the reference the sharded runs are held to.
+/// K = 1 run is the reference the other shard counts are held to.
 fn subset() -> Vec<ScenarioSpec> {
     bench::catalogue(true)
         .into_iter()
@@ -65,7 +64,7 @@ fn subset() -> Vec<ScenarioSpec> {
 #[test]
 fn bench_subset_is_byte_identical_across_shard_counts() {
     for spec in subset() {
-        let reference = spec.run().expect("classic core runs");
+        let reference = spec.run().expect("K = 1 runs");
         let ref_json = reference.trace_json();
         for k in [2usize, 4] {
             let got = spec
@@ -76,7 +75,7 @@ fn bench_subset_is_byte_identical_across_shard_counts() {
             assert_eq!(
                 got.trace_json(),
                 ref_json,
-                "{} diverged from the classic core at {k} shards",
+                "{} at {k} shards diverged from K = 1",
                 spec.name
             );
             for name in BEHAVIORAL_COUNTERS {
@@ -110,7 +109,7 @@ fn faulted_point_reproduces_on_sharded_cores_and_scattered_maps() {
         .with_ports(8)
         .with_duration(SimDuration::from_millis(2))
         .with_shards(1);
-    let reference = spec.run().expect("classic core runs");
+    let reference = spec.run().expect("K = 1 runs");
     assert!(
         reference.counters.fault_events_injected > 0,
         "the storm plan must actually inject faults"
@@ -129,7 +128,7 @@ fn faulted_point_reproduces_on_sharded_cores_and_scattered_maps() {
         assert_eq!(
             got.trace_json(),
             ref_json,
-            "faulted run diverged from the classic core at {k} shards"
+            "faulted run at {k} shards diverged from K = 1"
         );
         assert_eq!(got.fault_degraded_ns, reference.fault_degraded_ns);
         assert_eq!(got.fault_failover_bytes, reference.fault_failover_bytes);

@@ -369,16 +369,16 @@ mod tests {
     use xds_net::{PortNo, TrafficClass};
     use xds_sim::SimTime;
 
-    fn pkt(id: u64, bytes: u32) -> Packet {
+    /// `seq` doubles as the packet's FIFO marker.
+    fn pkt(seq: u32, bytes: u32) -> Packet {
         Packet::new(
-            id,
-            id,
+            seq as u64,
             PortNo(0),
             PortNo(1),
             bytes,
             TrafficClass::Bulk,
             SimTime::ZERO,
-            0,
+            seq,
         )
     }
 
@@ -392,8 +392,8 @@ mod tests {
         assert_eq!(pool.live_packets(), 11);
         assert_eq!(pool.chunks_in_use(), 3);
         for i in 0..11 {
-            assert_eq!(pool.front(&f).unwrap().id.0, i);
-            assert_eq!(pool.pop(&mut f).unwrap().id.0, i);
+            assert_eq!(pool.front(&f).unwrap().seq, i);
+            assert_eq!(pool.pop(&mut f).unwrap().seq, i);
         }
         assert!(pool.pop(&mut f).is_none());
         assert!(f.is_empty());
@@ -405,7 +405,7 @@ mod tests {
     fn chunks_are_recycled_not_grown() {
         let mut pool = PacketPool::new();
         let mut f = PktFifo::new();
-        for round in 0..5u64 {
+        for round in 0..5u32 {
             for i in 0..8 {
                 pool.push(&mut f, pkt(round * 8 + i, 64));
             }
@@ -425,8 +425,8 @@ mod tests {
             pool.push(&mut b, pkt(100 + i, 10));
         }
         for i in 0..6 {
-            assert_eq!(pool.pop(&mut a).unwrap().id.0, i);
-            assert_eq!(pool.pop(&mut b).unwrap().id.0, 100 + i);
+            assert_eq!(pool.pop(&mut a).unwrap().seq, i);
+            assert_eq!(pool.pop(&mut b).unwrap().seq, 100 + i);
         }
         pool.debug_assert_conserved();
     }

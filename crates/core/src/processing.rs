@@ -60,36 +60,25 @@ pub struct ProcessingLogic {
     /// Row-windowed banks (sharded cores): the sorted global source rows
     /// this bank owns (`rows[local] = global`) and the inverse map
     /// (`row_of[global] = local`, `u32::MAX` for rows owned elsewhere).
-    /// `None` means the bank covers all `n` rows (the classic layout)
-    /// and indexes without the extra lookup.
+    /// `None` means the bank covers all `n` rows (the full layout) and
+    /// indexes without the extra lookup.
     rows: Option<(Vec<u32>, Vec<u32>)>,
 }
 
 impl ProcessingLogic {
     /// Creates an `n × n` VOQ bank with `voq_capacity` bytes per queue.
     pub fn new(n: usize, voq_capacity: u64) -> Self {
-        assert!(n >= 2, "need at least 2 ports");
-        assert!(voq_capacity > 0, "queue capacity must be positive");
-        ProcessingLogic {
-            n,
-            voq_capacity,
-            pool: PacketPool::new(),
-            pairs: (0..n * n).map(|_| PairState::default()).collect(),
-            dirty_list: Vec::new(),
-            total_queued: 0,
-            drops: 0,
-            dropped_bytes: 0,
-            rows: None,
-        }
+        Self::with_rows(n, voq_capacity, (0..n).collect())
     }
 
     /// Creates a bank owning only the given *source rows* of an `n × n`
     /// fabric — a shard's slice of the VOQ matrix. Storage is
     /// `rows.len() × n` instead of `n²`, so K shards of an n-port fabric
-    /// together use the classic footprint while each stays cache-compact.
+    /// together use the full footprint while each stays cache-compact.
     /// `rows` is sorted internally, so request order (ascending global
     /// `(src, dst)`) is preserved regardless of input order; an empty
-    /// `rows` yields an inert bank (every accessor returns zeroes).
+    /// `rows` yields an inert bank (every accessor returns zeroes), and
+    /// all `n` rows yield exactly [`new`](Self::new)'s bank.
     ///
     /// # Panics
     /// Panics if a row index repeats or is out of range.
@@ -113,7 +102,9 @@ impl ProcessingLogic {
             total_queued: 0,
             drops: 0,
             dropped_bytes: 0,
-            rows: Some((rows.iter().map(|&r| r as u32).collect(), row_of)),
+            // Owning every row (a single-shard core), the bank is the
+            // full layout and indexes without the row lookup.
+            rows: (nlocal < n).then(|| (rows.iter().map(|&r| r as u32).collect(), row_of)),
         }
     }
 
@@ -221,6 +212,9 @@ impl ProcessingLogic {
     /// A set of shards whose row windows partition the fabric covers the
     /// whole matrix exactly once, reproducing [`occupancy_into`].
     pub fn occupancy_rows_into(&self, out: &mut DemandMatrix) {
+        if self.rows.is_none() {
+            return self.occupancy_into(out);
+        }
         for (idx, p) in self.pairs.iter().enumerate() {
             let (src, dst) = self.pair_of(idx);
             out.set(src, dst, p.queued);
@@ -235,14 +229,13 @@ impl ProcessingLogic {
         out
     }
 
-    /// [`take_requests`](Self::take_requests) into a reused buffer: the
-    /// buffer is cleared, then filled in `(src, dst)` scan order. Only
-    /// the dirty list is visited (sorted so the order matches a full
-    /// row-major scan), not the whole `n²` matrix. Runs once per epoch,
-    /// so it doubles as the pool's conservation checkpoint.
+    /// [`take_requests`](Self::take_requests) appending to a reused
+    /// buffer, in `(src, dst)` scan order. Only the dirty list is visited
+    /// (sorted so the order matches a full row-major scan), not the whole
+    /// `n²` matrix. Runs once per epoch, so it doubles as the pool's
+    /// conservation checkpoint.
     pub fn take_requests_into(&mut self, now: SimTime, out: &mut Vec<SchedRequest>) {
         self.pool.debug_assert_conserved();
-        out.clear();
         self.dirty_list.sort_unstable();
         for k in 0..self.dirty_list.len() {
             let idx = self.dirty_list[k] as usize;
@@ -331,16 +324,16 @@ mod tests {
     use super::*;
     use xds_net::{PortNo, TrafficClass};
 
-    fn pkt(id: u64, src: usize, dst: usize, bytes: u32) -> Packet {
+    /// `seq` doubles as the packet's FIFO marker.
+    fn pkt(seq: u32, src: usize, dst: usize, bytes: u32) -> Packet {
         Packet::new(
-            id,
-            id,
+            seq as u64,
             PortNo::from(src),
             PortNo::from(dst),
             bytes,
             TrafficClass::Bulk,
             SimTime::ZERO,
-            0,
+            seq,
         )
     }
 
@@ -386,8 +379,8 @@ mod tests {
         }
         let got = p.dequeue_upto(0, 1, 4000); // fits 2 × 1500
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].id.0, 0);
-        assert_eq!(got[1].id.0, 1);
+        assert_eq!(got[0].seq, 0);
+        assert_eq!(got[1].seq, 1);
         assert_eq!(p.queued_bytes(0, 1), 4500);
         // Budget smaller than one packet: nothing moves.
         assert!(p.dequeue_upto(0, 1, 100).is_empty());
@@ -398,7 +391,7 @@ mod tests {
         let mut p = ProcessingLogic::new(2, 2000);
         p.enqueue(pkt(1, 0, 1, 1500)).unwrap();
         let rejected = p.enqueue(pkt(2, 0, 1, 1500)).unwrap_err();
-        assert_eq!(rejected.id.0, 2);
+        assert_eq!(rejected.seq, 2);
         assert_eq!(p.drops(), (1, 1500));
         // The drop still dirties nothing extra — occupancy didn't change.
         let reqs = p.take_requests(SimTime::ZERO);
@@ -433,7 +426,7 @@ mod tests {
         let mut a = ProcessingLogic::with_rows(4, 10_000, vec![3, 0]); // sorted internally
         let mut b = ProcessingLogic::with_rows(4, 10_000, vec![1, 2]);
         let feed = [
-            (1u64, 0usize, 2usize, 700u32),
+            (1u32, 0usize, 2usize, 700u32),
             (2, 3, 1, 500),
             (3, 1, 0, 300),
             (4, 0, 1, 200),

@@ -10,8 +10,14 @@
 //! transmit into their (clock-skew-shifted) view of the slot; packets that
 //! hit a dark or re-assigned circuit are synchronization violations.
 //!
-//! The event loop owns all state (no interior mutability): every handler
-//! is a match arm over the private event enum.
+//! There is one event loop, shaped like the paper's switch: a
+//! **coordinator** owns the central scheduler, the estimator, the OCS/EPS,
+//! the instrumentation sinks and the buffer tracker, and **K port-group
+//! shards** own the hosts and the switch's VOQ rows (the `shard` child
+//! module runs it). A build without [`SimBuilder::shards`] is K = 1: one
+//! shard owning every port. This module holds the coordinator's state,
+//! its events and the end-of-run report, plus the builder. Every handler
+//! is a match arm over a private event enum (no interior mutability).
 //!
 //! Metric recording is **not** inlined here: the runtime hands batched
 //! [`DeliveryRecord`]s, per-epoch [`EpochSample`]s and drop events to the
@@ -21,7 +27,7 @@
 //! typed [`BuildError`] instead of panicking on bad input.
 
 use xds_net::{Packet, TrafficClass};
-use xds_sim::{EventQueue, SimDuration, SimRng, SimTime, Simulation, TxTimeCache};
+use xds_sim::{EventQueue, SimDuration, SimRng, SimTime, TxTimeCache};
 use xds_switch::{BufferTracker, Site};
 use xds_traffic::{packet_sizes, FlowSpec};
 
@@ -41,14 +47,15 @@ use crate::switching::SwitchingLogic;
 use crate::trace::TraceRecorder;
 use xds_metrics::CounterSet;
 
-/// The sharded parallel core (child module: its coordinator replays the
-/// classic handlers over shard-held state, so it shares this module's
-/// private types).
+/// The event loop: coordinator barriers and port-group shard windows
+/// (child module, so it shares this module's private types).
 #[path = "shard.rs"]
 mod shard;
 pub use shard::{ShardExec, ShardMap};
 
-/// Simulation events.
+/// Coordinator events: the ones whose handlers read or write state shared
+/// across port groups (scheduler, OCS/EPS, sinks, RNG). Shard-local
+/// events are the shard module's own enum.
 ///
 /// Deliberately **not** `Clone`: nothing on the hot path may copy an
 /// event's payload. Schedules in particular live once in the runtime's
@@ -57,14 +64,8 @@ pub use shard::{ShardExec, ShardMap};
 /// them.
 #[derive(Debug)]
 enum Ev {
-    /// Inject the pending flow and pull the next one from the generator.
-    NextFlow,
-    /// Host NIC pump: serialize the next staged packet toward the switch.
-    Pump { host: usize },
     /// An interactive app emits its next packet.
     AppSend { app: usize },
-    /// A packet's last bit arrives at the switch ingress.
-    SwitchIn { pkt: Packet },
     /// Scheduler epoch boundary: estimate demand, compute a schedule.
     EpochStart,
     /// The computed schedule (slab id `sid`) arrives (decision latency
@@ -75,17 +76,6 @@ enum Ev {
     /// Entry `idx` of schedule `sid` circuits are live: move granted
     /// traffic. The last entry's activation retires the slab slot.
     SlotActive { sid: usize, idx: usize },
-    /// (Slow mode) A grant reaches a host: transmit into the window as the
-    /// host's skewed clock sees it.
-    HostGrant {
-        host: usize,
-        dst: usize,
-        slot_start: SimTime,
-        slot_end: SimTime,
-    },
-    /// (Slow mode) A host-released bulk packet arrives at the switch
-    /// expecting a live circuit.
-    OcsIn { pkt: Packet },
     /// Rotate the workload's traffic matrix (E6's moving hotspot).
     RotateMatrix { idx: usize },
     /// A link-fault arrival from the armed [`FaultPlan`]: draw a victim
@@ -100,11 +90,11 @@ enum Ev {
 /// headers, so those lead the struct and share cache lines; the slow-
 /// mode VOQ state is colder and trails.
 ///
-/// All packet storage lives in the runtime's shared [`PacketPool`]
-/// ([`SimState::host_pool`]): the staging queues and slow-mode VOQs are
-/// 10-byte intrusive FIFO headers, so a host enqueue/dequeue moves one
-/// descriptor inside the pool instead of shifting a per-queue `VecDeque`,
-/// and all hosts' packets recycle through one free list.
+/// All packet storage lives in the owning shard's [`PacketPool`]: the
+/// staging queues and slow-mode VOQs are 10-byte intrusive FIFO headers,
+/// so a host enqueue/dequeue moves one descriptor inside the pool instead
+/// of shifting a per-queue `VecDeque`, and the shard's hosts recycle
+/// packets through one free list.
 #[derive(Debug)]
 struct Host {
     nic_busy_until: SimTime,
@@ -164,6 +154,7 @@ impl Host {
     }
 }
 
+/// The coordinator's state: everything the shards do not own.
 struct SimState {
     cfg: NodeConfig,
     horizon: SimTime,
@@ -179,10 +170,6 @@ struct SimState {
     apps: Vec<xds_traffic::CbrApp>,
     matrix_cycle: Option<crate::node::MatrixCycle>,
 
-    hosts: Vec<Host>,
-    /// Shared chunk pool backing every host's staging queues and VOQs.
-    host_pool: PacketPool,
-    proc: ProcessingLogic,
     switching: SwitchingLogic,
     buffers: BufferTracker,
     rng: SimRng,
@@ -208,10 +195,9 @@ struct SimState {
     scheds: Vec<Option<Schedule>>,
     free_scheds: Vec<usize>,
 
-    /// One-entry serialization memos for the two per-packet rates (host
-    /// NIC and OCS circuit): packet streams repeat the MTU size, so the
-    /// hot paths skip a division per packet.
-    host_tx: TxTimeCache,
+    /// One-entry serialization memo for the OCS circuit rate: packet
+    /// streams repeat the MTU size, so grant bursts skip a division per
+    /// packet.
     line_tx: TxTimeCache,
 
     // Epoch-loop scratch buffers, reused so the per-epoch path performs
@@ -231,7 +217,6 @@ struct SimState {
     // Core accounting the runtime always keeps exact, under every
     // instrumentation profile: these O(1) adds define the run's identity
     // (events and delivered bytes must match across profiles).
-    next_pkt_id: u64,
     offered_bytes: u64,
     offered_flows: u64,
     delivered_ocs: u64,
@@ -263,7 +248,7 @@ struct SimState {
 
     /// Deterministic internal counters, merged from the scheduler's
     /// per-epoch observability deltas as the run goes and from the
-    /// event queue / packet pool ledgers at the end. Plain u64 adds,
+    /// event queues / packet pools' ledgers at the end. Plain u64 adds,
     /// always on.
     counters: CounterSet,
     /// The flight recorder, present only when the build requested
@@ -276,15 +261,6 @@ struct SimState {
 impl SimState {
     fn gated(&self, class: TrafficClass) -> bool {
         class == TrafficClass::Bulk || (self.cfg.voip_on_ocs && class == TrafficClass::Interactive)
-    }
-
-    fn ensure_pump(&mut self, q: &mut EventQueue<Ev>, host: usize) {
-        let h = &mut self.hosts[host];
-        if !h.pump_active {
-            h.pump_active = true;
-            let at = q.now().max(h.nic_busy_until);
-            q.schedule_at(at, Ev::Pump { host });
-        }
     }
 
     /// Books a delivery: the exact byte counters update inline (they are
@@ -315,77 +291,6 @@ impl SimState {
             self.counters.delivery_batches += 1;
             self.delivery_sink.on_batch(&self.delivery_scratch);
             self.delivery_scratch.clear();
-        }
-    }
-
-    fn inject_flow(&mut self, q: &mut EventQueue<Ev>, now: SimTime, f: FlowSpec) {
-        self.offered_bytes += f.bytes;
-        self.offered_flows += 1;
-        self.delivery_sink.on_flow_started(f.id, f.bytes, now);
-        let host = f.src.index();
-        let gated = self.gated(f.class);
-        for (seq, size) in packet_sizes(f.bytes, self.cfg.mtu).enumerate() {
-            let pkt = Packet::new(
-                self.next_pkt_id,
-                f.id,
-                f.src,
-                f.dst,
-                size,
-                f.class,
-                now,
-                seq as u32,
-            );
-            self.next_pkt_id += 1;
-            if gated && !self.is_hw {
-                // Slow scheduling: bulk waits in host memory for a grant.
-                let h = &mut self.hosts[host];
-                let d = f.dst.index();
-                self.host_pool.push(&mut h.voq[d], pkt);
-                h.voq_bytes[d] += size as u64;
-                h.voq_total += size as u64;
-                h.voq_arrived[d] += size as u64;
-                h.voq_dirty[d] = true;
-                if self.track_buffers {
-                    self.buffers.on_enqueue(Site::Host, size as u64, now);
-                }
-            } else {
-                let h = &mut self.hosts[host];
-                let q = match pkt.class {
-                    TrafficClass::Interactive => &mut h.q_inter,
-                    TrafficClass::Short => &mut h.q_short,
-                    TrafficClass::Bulk => &mut h.q_bulk,
-                };
-                self.host_pool.push(q, pkt);
-            }
-        }
-        self.ensure_pump(q, host);
-    }
-
-    fn host_requests_into(&mut self, now: SimTime, out: &mut Vec<SchedRequest>) {
-        out.clear();
-        for (hi, h) in self.hosts.iter_mut().enumerate() {
-            for d in 0..h.voq_dirty.len() {
-                if h.voq_dirty[d] {
-                    h.voq_dirty[d] = false;
-                    out.push(SchedRequest {
-                        src: hi,
-                        dst: d,
-                        queued_bytes: h.voq_bytes[d],
-                        arrived_bytes_total: h.voq_arrived[d],
-                        at: now,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Writes the true host-VOQ occupancy into the reused truth buffer.
-    fn host_occupancy_into_scratch(&mut self) {
-        let n = self.cfg.n_ports;
-        for (hi, h) in self.hosts.iter().enumerate() {
-            for d in 0..n {
-                self.truth_scratch.set(hi, d, h.voq_bytes[d]);
-            }
         }
     }
 
@@ -529,11 +434,10 @@ impl SimBuilder {
     }
 
     /// Splits the fabric into `k` contiguous port-group shards (defaults
-    /// to 1 — the classic single-queue core, bit-for-bit unchanged).
-    /// `k > 1` runs the sharded core, which reproduces the classic
-    /// core's events, bytes and behavioral counters exactly (see
+    /// to 1: one shard owning every port). Every `k` reproduces K = 1's
+    /// events, bytes and behavioral counters exactly (see
     /// [`crate::runtime::ShardMap`] and the shard module docs for the
-    /// determinism contract).
+    /// determinism contract); only the per-shard queue/pool ledgers move.
     pub fn shards(mut self, k: usize) -> Self {
         self.shards = k.max(1);
         self
@@ -548,7 +452,8 @@ impl SimBuilder {
 
     /// How shard windows execute (defaults to [`ShardExec::Auto`]:
     /// worker threads when the machine has more than one CPU, inline
-    /// otherwise). Results are identical in every mode.
+    /// otherwise; a single shard always runs inline). Results are
+    /// identical in every mode.
     pub fn shard_execution(mut self, exec: ShardExec) -> Self {
         self.shard_exec = exec;
         self
@@ -617,9 +522,9 @@ impl SimBuilder {
                         m.ports()
                     )));
                 }
-                (m.k() > 1).then_some(m)
+                m
             }
-            None => (shards > 1).then(|| ShardMap::contiguous(n, shards)),
+            None => ShardMap::contiguous(n, shards),
         };
         if let Some(g) = &workload.flows {
             if g.matrix().n() != n {
@@ -650,6 +555,8 @@ impl SimBuilder {
             Placement::Hardware(_) => (true, SimDuration::ZERO),
             Placement::Software { ctrl_oneway, .. } => (false, *ctrl_oneway),
         };
+        // Hosts are built in global port order (the clock-offset draws
+        // below fix that order); `run` hands each to its shard.
         let mut hosts: Vec<Host> = (0..n).map(|_| Host::new(n)).collect();
         if let Placement::Software { sync, .. } = &cfg.placement {
             let mut sync_rng = rng.fork();
@@ -677,15 +584,6 @@ impl SimBuilder {
         let want_demand_error = instr.epoch.wants_demand_error();
         let estimator_is_mirror = estimator.mirrors_occupancy();
         let state = SimState {
-            // A sharded run keeps its VOQ rows in per-shard banks; the
-            // builder's full-fabric bank would be dead weight (n² pair
-            // states — ~200 MB at 2048 ports), so it gets an inert
-            // zero-row husk instead.
-            proc: if shard_map.is_some() {
-                ProcessingLogic::with_rows(n, cfg.voq_capacity, Vec::new())
-            } else {
-                ProcessingLogic::new(n, cfg.voq_capacity)
-            },
             switching: SwitchingLogic::new(n, cfg.reconfig, cfg.eps_rate, cfg.eps_buffer),
             buffers: BufferTracker::new(),
             horizon: SimTime::MAX,
@@ -698,14 +596,11 @@ impl SimBuilder {
             flow_stop: workload.flow_stop,
             apps: workload.apps,
             matrix_cycle: workload.matrix_cycle,
-            hosts,
-            host_pool: PacketPool::new(),
             rng,
             faults,
             estimator_is_mirror,
             scheds: Vec::new(),
             free_scheds: Vec::new(),
-            host_tx: cfg.host_link.rate.tx_cache(),
             line_tx: cfg.line_rate.tx_cache(),
             // Tracked: estimators with exact zero cells clear and fill
             // it by worklist, and sparse-aware schedulers read the
@@ -715,7 +610,6 @@ impl SimBuilder {
             reqs_scratch: Vec::new(),
             grant_scratch: Vec::new(),
             release_scratch: Vec::new(),
-            next_pkt_id: 0,
             offered_bytes: 0,
             offered_flows: 0,
             delivered_ocs: 0,
@@ -736,7 +630,7 @@ impl SimBuilder {
         };
         Ok(HybridSim {
             state,
-            sim: Simulation::new(),
+            hosts,
             shard_map,
             shard_exec,
         })
@@ -746,10 +640,10 @@ impl SimBuilder {
 /// The assembled simulation: configuration + workload + scheduling logic.
 pub struct HybridSim {
     state: SimState,
-    sim: Simulation<Ev>,
-    /// `Some` iff the build asked for more than one shard: `run`
-    /// dispatches to the sharded core.
-    shard_map: Option<ShardMap>,
+    /// Every host in global port order; `run` partitions them into their
+    /// shards.
+    hosts: Vec<Host>,
+    shard_map: ShardMap,
     shard_exec: ShardExec,
 }
 
@@ -760,77 +654,20 @@ impl HybridSim {
     }
 
     /// Runs the testbed until `horizon` and returns the report.
-    pub fn run(mut self, horizon: SimTime) -> RunReport {
-        if let Some(map) = self.shard_map.take() {
-            return shard::run_sharded(self, horizon, map);
-        }
-        self.state.horizon = horizon;
-        let q = &mut self.sim.queue;
-        // Seed: first flow…
-        if let Some(g) = &mut self.state.flowgen {
-            let f = g.next_flow();
-            if f.start <= self.state.flow_stop {
-                q.schedule_at(f.start, Ev::NextFlow);
-                self.state.pending_flow = Some(f);
-            }
-        }
-        // …apps…
-        for (i, a) in self.state.apps.iter().enumerate() {
-            q.schedule_at(a.start, Ev::AppSend { app: i });
-        }
-        // …the matrix rotation, if any…
-        if let Some(cycle) = &self.state.matrix_cycle {
-            q.schedule_at(SimTime::ZERO + cycle.period, Ev::RotateMatrix { idx: 1 });
-        }
-        // …and the scheduler cadence.
-        q.schedule_at(SimTime::ZERO, Ev::EpochStart);
-        // …and the fault chain, when a plan is armed.
-        if let Some(fs) = &mut self.state.faults {
-            if let Some(at) = fs.first_fault_at() {
-                q.schedule_at(at, Ev::LinkFault);
-            }
-        }
-
-        let stats = self
-            .sim
-            .run_until(&mut self.state, horizon, SimState::handle);
-
-        let mut st = self.state;
-        // Fold the structural ledgers into the counter registry. The
-        // ladder queue and the two packet pools own their counts; the
-        // registry harvests them once, after the last event.
-        st.counters.queue_spreads = self.sim.queue.spread_count();
-        st.counters.queue_spills = self.sim.queue.spill_count();
-        st.counters.queue_direct_sorts = self.sim.queue.direct_sort_count();
-        let (p_allocs, p_frees, p_peak, p_growths) = st.proc.pool_ledger();
-        st.counters.pool_allocs = st.host_pool.alloc_count() + p_allocs;
-        st.counters.pool_frees = st.host_pool.free_count() + p_frees;
-        // Sum of per-pool high-water marks (the pools never trade
-        // packets, so the sum is a deterministic combined ceiling).
-        st.counters.pool_live_peak = st.host_pool.live_peak() + p_peak;
-        st.counters.pool_chunk_growths = st.host_pool.chunk_growth_count() + p_growths;
-        st.into_report(stats.events_processed, stats.end_time, horizon)
+    pub fn run(self, horizon: SimTime) -> RunReport {
+        shard::run_sharded(self, horizon)
     }
 }
 
 impl SimState {
-    /// Final audits + report assembly, shared by the classic and the
-    /// sharded core (callers fold queue/pool ledgers into `counters`
-    /// first — the two cores harvest different structures).
+    /// Report assembly (the caller audits the shards' pools and folds
+    /// their queue/pool ledgers into `counters` first).
     fn into_report(self, events: u64, end_time: SimTime, horizon: SimTime) -> RunReport {
         let mut st = self;
         debug_assert!(
             st.delivery_scratch.is_empty(),
             "every handler flushes its delivery batch"
         );
-        // End-of-run conservation audit, on in release builds too: a
-        // packet-pool leak is a runtime bug no report may paper over.
-        if let Err(e) = st.host_pool.check_conserved() {
-            panic!("end-of-run host pool audit failed: {e}");
-        }
-        if let Err(e) = st.proc.check_pool_conserved() {
-            panic!("end-of-run switch pool audit failed: {e}");
-        }
         let delivery = st.delivery_sink.finish();
         let epoch = st.epoch_probe.finish();
         let drops = st.drop_sink.finish();
@@ -888,546 +725,6 @@ impl SimState {
             chrome_trace: st.trace.map(|t| t.to_chrome_json()),
             measured_deliveries: st.want_deliveries,
             measured_buffers: st.track_buffers,
-        }
-    }
-
-    fn handle(st: &mut SimState, q: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
-        match ev {
-            Ev::NextFlow => {
-                if let Some(f) = st.pending_flow.take() {
-                    st.inject_flow(q, now, f);
-                }
-                if let Some(g) = &mut st.flowgen {
-                    let f = g.next_flow();
-                    if f.start <= st.flow_stop && f.start <= st.horizon {
-                        q.schedule_at(f.start, Ev::NextFlow);
-                        st.pending_flow = Some(f);
-                    }
-                }
-            }
-
-            Ev::Pump { host } => {
-                let nic_busy = st.hosts[host].nic_busy_until;
-                if now < nic_busy {
-                    // A grant burst claimed the NIC; come back when free.
-                    q.schedule_at(nic_busy, Ev::Pump { host });
-                    return;
-                }
-                let Some(pkt) = st.hosts[host].pop_staged(&mut st.host_pool) else {
-                    st.hosts[host].pump_active = false;
-                    return;
-                };
-                let tx = st.host_tx.tx_time(pkt.bytes as u64);
-                st.hosts[host].nic_busy_until = now + tx;
-                q.schedule_at(
-                    now + tx + st.cfg.host_link.propagation,
-                    Ev::SwitchIn { pkt },
-                );
-                q.schedule_at(now + tx, Ev::Pump { host });
-            }
-
-            Ev::AppSend { app } => {
-                let a = st.apps[app].clone();
-                let pkt = Packet::new(
-                    st.next_pkt_id,
-                    APP_FLOW_BASE + app as u64,
-                    a.src,
-                    a.dst,
-                    a.pkt_bytes,
-                    TrafficClass::Interactive,
-                    now,
-                    0,
-                );
-                st.next_pkt_id += 1;
-                st.offered_bytes += a.pkt_bytes as u64;
-                let host = a.src.index();
-                if st.gated(TrafficClass::Interactive) && !st.is_hw {
-                    // voip_on_ocs ablation under slow scheduling: the call
-                    // waits in host memory like any elephant.
-                    let d = a.dst.index();
-                    let h = &mut st.hosts[host];
-                    st.host_pool.push(&mut h.voq[d], pkt);
-                    h.voq_bytes[d] += a.pkt_bytes as u64;
-                    h.voq_total += a.pkt_bytes as u64;
-                    h.voq_arrived[d] += a.pkt_bytes as u64;
-                    h.voq_dirty[d] = true;
-                    if st.track_buffers {
-                        st.buffers.on_enqueue(Site::Host, a.pkt_bytes as u64, now);
-                    }
-                } else {
-                    let h = &mut st.hosts[host];
-                    st.host_pool.push(&mut h.q_inter, pkt);
-                    st.ensure_pump(q, host);
-                }
-                let next = a.next_send(now, &mut st.rng);
-                if next <= st.horizon {
-                    q.schedule_at(next, Ev::AppSend { app });
-                }
-            }
-
-            Ev::SwitchIn { pkt } => {
-                if st.gated(pkt.class) {
-                    debug_assert!(st.is_hw, "slow mode gates bulk at hosts");
-                    let bytes = pkt.bytes as u64;
-                    match st.proc.enqueue(pkt) {
-                        Ok(()) => {
-                            if st.track_buffers {
-                                st.buffers.on_enqueue(Site::Switch, bytes, now);
-                            }
-                        }
-                        Err(_) => st.drop_sink.on_drop(DropCause::VoqFull, now),
-                    }
-                } else {
-                    let out = pkt.dst.index();
-                    match st.switching.eps.enqueue(out, pkt.bytes as u64, now) {
-                        Ok(dep) => {
-                            let deliver = dep + st.cfg.host_link.propagation;
-                            st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
-                            st.flush_deliveries();
-                        }
-                        Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, now),
-                    }
-                }
-            }
-
-            Ev::EpochStart => {
-                // xlint: allow(wall-clock) — epoch phase-timing split (RunReport::phases): host-time observability, excluded from golden serialization
-                let phase_t0 = std::time::Instant::now();
-                // Pool-boundary audit, once per epoch: every chunk in the
-                // host pool is on the free list or reachable from exactly
-                // one staging queue / VOQ (the switch-side pool asserts
-                // the same inside `take_requests_into`). Free in release
-                // builds.
-                st.host_pool.debug_assert_conserved();
-                // Figure 2: requests → demand estimation → algorithm.
-                // Requests, demand and ground truth all land in reused
-                // scratch buffers: this loop runs every epoch and must
-                // not make n²-sized allocations.
-                let mut reqs = std::mem::take(&mut st.reqs_scratch);
-                if st.is_hw {
-                    st.proc.take_requests_into(now, &mut reqs);
-                } else {
-                    st.host_requests_into(now, &mut reqs);
-                }
-                for r in &reqs {
-                    st.estimator.on_request(r);
-                }
-                st.reqs_scratch = reqs;
-                // Estimators that keep the estimate materialized (the
-                // mirror) lend it out via `estimate_ref`; only the ones
-                // that must compute one fill the scratch matrix. The
-                // lent reference is stable within the epoch, so it is
-                // re-borrowed wherever the estimate is read.
-                let have_ref = st.estimator.estimate_ref(now, st.cfg.epoch).is_some();
-                if !have_ref {
-                    st.estimator
-                        .estimate_into(now, st.cfg.epoch, &mut st.demand_scratch);
-                }
-                // Demand-error sampling. The ground-truth backlog (the
-                // EpochSample observable) is always available cheaply —
-                // incrementally in fast mode, an O(n) host sum in slow
-                // mode. The mirror's error is identically zero by
-                // construction (every occupancy change produced a
-                // request), and the non-mirror ground-truth snapshot +
-                // L1 pass (two n² walks) runs only when the epoch probe
-                // wants the sample — the lean profile declines it.
-                let truth_total: u64 = if st.is_hw {
-                    st.proc.total_bytes()
-                } else {
-                    st.hosts.iter().map(|h| h.voq_total).sum()
-                };
-                let mut demand_err_rel: Option<f64> = None;
-                if st.estimator_is_mirror {
-                    if truth_total > 0 {
-                        demand_err_rel = Some(0.0);
-                    }
-                } else if st.want_demand_error {
-                    if st.is_hw {
-                        st.proc.occupancy_into(&mut st.truth_scratch);
-                    } else {
-                        st.host_occupancy_into_scratch();
-                    }
-                    let estimate = match st.estimator.estimate_ref(now, st.cfg.epoch) {
-                        Some(m) => m,
-                        None => &st.demand_scratch,
-                    };
-                    let (err_l1, tt) = estimate.error_vs(&st.truth_scratch);
-                    debug_assert_eq!(tt, truth_total, "snapshot disagrees with running total");
-                    if truth_total > 0 {
-                        demand_err_rel = Some(err_l1 as f64 / truth_total as f64);
-                    }
-                }
-                let ctx = ScheduleCtx {
-                    now,
-                    line_rate: st.cfg.line_rate,
-                    reconfig: st.cfg.reconfig,
-                    epoch: st.cfg.epoch,
-                    max_entries: st.cfg.max_entries,
-                };
-                let demand = match st.estimator.estimate_ref(now, st.cfg.epoch) {
-                    Some(m) => m,
-                    None => &st.demand_scratch,
-                };
-                // Graceful degradation: while ports are dark to injected
-                // faults, the scheduler sees their rows/columns zeroed —
-                // it never plans circuits through a dead link.
-                let demand = match &mut st.faults {
-                    Some(fs) if fs.n_failed > 0 => fs.mask_demand(demand),
-                    _ => demand,
-                };
-                // xlint: allow(wall-clock) — phase-timing block boundary (estimate → decompose), never serialized into goldens
-                let phase_t1 = std::time::Instant::now();
-                st.phases.estimate += phase_t1.duration_since(phase_t0).as_nanos() as u64;
-                let sched = st.scheduler.schedule(demand, &ctx);
-                // This `Instant::now` was previously hidden inside
-                // `elapsed()`: naming it costs nothing and doubles as the
-                // decompose span's end when the recorder is on.
-                // xlint: allow(wall-clock) — phase-timing block boundary (decompose end), never serialized into goldens
-                let phase_t2 = std::time::Instant::now();
-                st.phases.decompose += phase_t2.duration_since(phase_t1).as_nanos() as u64;
-                if let Some(obs) = st.scheduler.take_obs() {
-                    st.counters.sched_memo_hits += obs.memo_hits;
-                    st.counters.sched_hk_runs += obs.hk_runs;
-                    st.counters.sched_probes += obs.probes;
-                    st.counters.sched_worklist_peak =
-                        st.counters.sched_worklist_peak.max(obs.worklist_len);
-                    st.counters.sched_bucket_peak =
-                        st.counters.sched_bucket_peak.max(obs.buckets_len);
-                    if let Some(tr) = &mut st.trace {
-                        for s in &obs.spans {
-                            tr.span_between("sched", s.name, s.start, s.end, &[s.arg]);
-                        }
-                    }
-                }
-                if let Some(tr) = &mut st.trace {
-                    // The epoch span and its two phase children reuse the
-                    // phase-accounting instants read above — tracing adds
-                    // no clock reads here, on or off.
-                    tr.span_between(
-                        "epoch",
-                        "epoch",
-                        phase_t0,
-                        phase_t2,
-                        &[("epoch", st.decisions)],
-                    );
-                    tr.span_between("epoch", "estimate", phase_t0, phase_t1, &[]);
-                    tr.span_between(
-                        "epoch",
-                        "decompose",
-                        phase_t1,
-                        phase_t2,
-                        &[("entries", sched.entries.len() as u64)],
-                    );
-                }
-                debug_assert!(
-                    sched.validate(&ctx, st.cfg.n_ports).is_ok(),
-                    "{} produced an invalid schedule",
-                    st.scheduler.name()
-                );
-                let mut d = st
-                    .cfg
-                    .placement
-                    .decision_latency(st.cfg.n_ports, &mut st.rng);
-                // Scheduler stall: the decision arrives k epochs late and
-                // the fabric coasts on the previous schedule meanwhile.
-                if let Some(fs) = &mut st.faults {
-                    if let Some(extra) = fs.draw_stall(st.cfg.epoch) {
-                        d += extra;
-                        st.counters.fault_events_injected += 1;
-                    }
-                }
-                st.decisions += 1;
-                st.decision_ns_sum += d.as_nanos() as u128;
-                st.epoch_probe.on_epoch(&EpochSample {
-                    // One sample per decision: `decisions` was just
-                    // incremented, so the zero-based epoch id is one
-                    // source of truth, not a second counter.
-                    epoch: st.decisions - 1,
-                    at: now,
-                    demand_err_rel,
-                    backlog_bytes: truth_total,
-                    decision_ns: d.as_nanos(),
-                    ocs_dark_ns: st.switching.ocs.stats().dark_time.as_nanos(),
-                    entries: sched.entries.len(),
-                });
-                if !sched.entries.is_empty() {
-                    let sid = st.alloc_sched(sched);
-                    q.schedule_at(now + d, Ev::ApplySchedule { sid });
-                }
-                let next = now + st.cfg.epoch.max(d);
-                if next <= st.horizon {
-                    q.schedule_at(next, Ev::EpochStart);
-                }
-            }
-
-            Ev::ApplySchedule { sid } => {
-                q.schedule_at(now, Ev::SlotConfigure { sid, idx: 0 });
-            }
-
-            Ev::SlotConfigure { sid, idx } => {
-                // Reconfiguration misfire: the configure may apply late
-                // (the dark window stretches) or not at all (the stale
-                // permutation stays up for the whole slot).
-                let slot_fault = match &mut st.faults {
-                    Some(fs) => fs.draw_misfire(),
-                    None => SlotFault::None,
-                };
-                if slot_fault != SlotFault::None {
-                    st.counters.fault_events_injected += 1;
-                }
-                if slot_fault == SlotFault::Stale {
-                    st.faults
-                        .as_mut()
-                        .expect("stale draw implies a plan")
-                        .mark_stale(sid, idx);
-                }
-                let entry = &st.scheds[sid].as_ref().expect("schedule slot live").entries[idx];
-                let active_at = match slot_fault {
-                    SlotFault::None => st.switching.configure(&entry.perm, now),
-                    SlotFault::Late(extra) => st.switching.configure(&entry.perm, now + extra),
-                    // No configure happened: the slot "activates" on the
-                    // nominal timeline, against the stale permutation.
-                    SlotFault::Stale => now + st.cfg.reconfig,
-                };
-                let slot_end = active_at + entry.slot;
-                if !st.is_hw && slot_fault != SlotFault::Stale {
-                    // Grants travel the control channel to the hosts. The
-                    // advertised window is shrunk by the guard band on
-                    // both edges so a host whose clock is wrong by up to
-                    // `guard` still lands inside the live circuit.
-                    let g = st.cfg.guard;
-                    let gs = active_at + g;
-                    let ge = SimTime::from_nanos(slot_end.as_nanos().saturating_sub(g.as_nanos()));
-                    if ge > gs {
-                        for (i, j) in entry.perm.pairs() {
-                            q.schedule_at(
-                                now + st.ctrl_oneway,
-                                Ev::HostGrant {
-                                    host: i,
-                                    dst: j,
-                                    slot_start: gs,
-                                    slot_end: ge,
-                                },
-                            );
-                        }
-                    }
-                }
-                q.schedule_at(active_at, Ev::SlotActive { sid, idx });
-            }
-
-            Ev::SlotActive { sid, idx } => {
-                // Move the schedule out of the slab for the duration of
-                // the grant burst (record_delivery needs `&mut st`), and
-                // retire the slot after the last entry.
-                let sched = st.scheds[sid].take().expect("schedule slot live");
-                let entry = &sched.entries[idx];
-                let slot_end = now + entry.slot;
-                // A stale slot's configure never applied: every granted
-                // pair fails over. A faulted pair fails over alone.
-                let stale = match &mut st.faults {
-                    Some(fs) => fs.take_stale(sid, idx),
-                    None => false,
-                };
-                if st.is_hw {
-                    // xlint: allow(wall-clock) — apply phase-timing block start (RunReport::phases), excluded from golden serialization
-                    let phase_t0 = std::time::Instant::now();
-                    // Processing logic executes grants: budgeted dequeue,
-                    // packets serialized at line rate onto the circuit.
-                    let budget = st.cfg.line_rate.bytes_in(entry.slot);
-                    let mut granted = std::mem::take(&mut st.grant_scratch);
-                    for (i, j) in entry.perm.pairs() {
-                        granted.clear();
-                        st.proc.dequeue_upto_into(i, j, budget, &mut granted);
-                        if granted.is_empty() {
-                            continue;
-                        }
-                        // With faults armed, stall-delayed schedules can
-                        // overlap: a later schedule's configure may have
-                        // darkened or re-aimed the fabric mid-slot, so the
-                        // fault path probes the circuit where the clean
-                        // path may assert it.
-                        let diverted = stale
-                            || st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j))
-                            || (st.faults.is_some()
-                                && st.switching.ocs.output_for(i, now) != Some(j));
-                        if diverted {
-                            // Graceful degradation: the granted burst
-                            // cannot ride the circuit (dark link or stale
-                            // permutation) — divert it onto the EPS slow
-                            // path packet by packet instead of losing it.
-                            for pkt in granted.drain(..) {
-                                let bytes = pkt.bytes as u64;
-                                if st.track_buffers {
-                                    // The bytes leave the VOQ now either
-                                    // way (EPS keeps its own ledger).
-                                    st.release_scratch.push((now.as_nanos(), bytes));
-                                }
-                                match st.switching.eps.enqueue(j, bytes, now) {
-                                    Ok(dep) => {
-                                        st.counters.fault_failover_bytes += bytes;
-                                        let deliver = dep + st.cfg.host_link.propagation;
-                                        st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
-                                    }
-                                    Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, now),
-                                }
-                            }
-                            continue;
-                        }
-                        // xlint: allow(wall-clock) — flight-recorder grant-burst span start, gated on trace; wall-clock stays out of goldens
-                        let burst_t0 = st.trace.is_some().then(std::time::Instant::now);
-                        let npkts = granted.len() as u64;
-                        st.counters.grant_bursts += 1;
-                        st.counters.grant_pkts_max = st.counters.grant_pkts_max.max(npkts);
-                        // One circuit validation per burst (identical
-                        // accounting to per-packet transmits).
-                        let total: u64 = granted.iter().map(|p| p.bytes as u64).sum();
-                        st.switching
-                            .ocs
-                            .transmit_batch(i, j, total, npkts, now)
-                            .expect("granted circuit must be live");
-                        let mut cursor = now;
-                        for pkt in granted.drain(..) {
-                            let bytes = pkt.bytes as u64;
-                            let dep = cursor + st.line_tx.tx_time(bytes);
-                            cursor = dep;
-                            if st.track_buffers {
-                                st.release_scratch.push((dep.as_nanos(), bytes));
-                            }
-                            let deliver = dep + st.cfg.host_link.propagation;
-                            st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
-                        }
-                        if let (Some(t0), Some(tr)) = (burst_t0, &mut st.trace) {
-                            tr.span_between(
-                                "slot",
-                                "grant_burst",
-                                t0,
-                                // xlint: allow(wall-clock) — flight-recorder span end, trace-gated
-                                std::time::Instant::now(),
-                                &[("pkts", npkts)],
-                            );
-                        }
-                    }
-                    // All pairs drained the same slot: flush their
-                    // releases as one timestamp-coalesced batch, and the
-                    // slot's deliveries as one sink batch.
-                    if st.track_buffers {
-                        let mut releases = std::mem::take(&mut st.release_scratch);
-                        st.buffers.on_dequeue_at_batch(Site::Switch, &mut releases);
-                        st.release_scratch = releases;
-                    }
-                    st.flush_deliveries();
-                    st.grant_scratch = granted;
-                    // xlint: allow(wall-clock) — apply phase-timing block end (RunReport::phases), excluded from golden serialization
-                    let phase_t1 = std::time::Instant::now();
-                    st.phases.apply += phase_t1.duration_since(phase_t0).as_nanos() as u64;
-                    if let Some(tr) = &mut st.trace {
-                        // Reuses the apply-phase instants: the slot span
-                        // nests the grant-burst spans recorded above.
-                        tr.span_between(
-                            "epoch",
-                            "apply",
-                            phase_t0,
-                            phase_t1,
-                            &[("entry", idx as u64)],
-                        );
-                    }
-                }
-                if idx + 1 < sched.entries.len() {
-                    st.scheds[sid] = Some(sched);
-                    q.schedule_at(slot_end, Ev::SlotConfigure { sid, idx: idx + 1 });
-                } else {
-                    st.free_scheds.push(sid);
-                }
-            }
-
-            Ev::HostGrant {
-                host,
-                dst,
-                slot_start,
-                slot_end,
-            } => {
-                // The host obeys its own clock: a skewed host mistimes the
-                // window (§2's synchronization argument).
-                let (start_seen, end_seen) = {
-                    let h = &st.hosts[host];
-                    (h.actual_time(slot_start), h.actual_time(slot_end))
-                };
-                let h = &mut st.hosts[host];
-                let pool = &mut st.host_pool;
-                let mut cursor = now.max(start_seen).max(h.nic_busy_until);
-                let link = st.cfg.host_link;
-                while let Some(front) = pool.front(&h.voq[dst]) {
-                    let bytes = front.bytes as u64;
-                    let tx = st.host_tx.tx_time(bytes);
-                    if cursor + tx > end_seen {
-                        break;
-                    }
-                    let pkt = pool.pop(&mut h.voq[dst]).expect("peeked");
-                    let dep = cursor + tx;
-                    cursor = dep;
-                    h.voq_bytes[dst] -= bytes;
-                    h.voq_total -= bytes;
-                    h.voq_dirty[dst] = true;
-                    if st.track_buffers {
-                        st.buffers.on_dequeue_at(Site::Host, bytes, dep);
-                    }
-                    q.schedule_at(dep + link.propagation, Ev::OcsIn { pkt });
-                }
-                h.nic_busy_until = h.nic_busy_until.max(cursor);
-            }
-
-            Ev::RotateMatrix { idx } => {
-                if let (Some(cycle), Some(g)) = (&st.matrix_cycle, &mut st.flowgen) {
-                    g.set_matrix(cycle.matrices[idx % cycle.matrices.len()].clone());
-                    let next = now + cycle.period;
-                    if next <= st.horizon {
-                        q.schedule_at(next, Ev::RotateMatrix { idx: idx + 1 });
-                    }
-                }
-            }
-
-            Ev::OcsIn { pkt } => {
-                let (i, j, bytes) = (pkt.src.index(), pkt.dst.index(), pkt.bytes as u64);
-                if st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j)) {
-                    // The link died while the packet was in flight: the
-                    // light went into a dark fiber.
-                    st.drop_sink.on_drop(DropCause::LinkDark, now);
-                    return;
-                }
-                match st.switching.ocs.transmit(i, j, bytes, now) {
-                    Ok(()) => {
-                        let deliver = now + st.cfg.host_link.propagation;
-                        st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
-                        st.flush_deliveries();
-                    }
-                    Err(_) => {
-                        // Dark window or re-assigned circuit: the light
-                        // went nowhere useful.
-                        st.drop_sink.on_drop(DropCause::SyncViolation, now);
-                    }
-                }
-            }
-
-            Ev::LinkFault => {
-                let fs = st.faults.as_mut().expect("LinkFault implies a plan");
-                let (port, repair_at, next) = fs.on_link_fault(now);
-                if let Some(at) = repair_at {
-                    st.counters.fault_events_injected += 1;
-                    q.schedule_at(at, Ev::LinkRepair { port });
-                }
-                if let Some(at) = next {
-                    if at <= st.horizon {
-                        q.schedule_at(at, Ev::LinkFault);
-                    }
-                }
-            }
-
-            Ev::LinkRepair { port } => {
-                st.faults
-                    .as_mut()
-                    .expect("LinkRepair implies a plan")
-                    .on_link_repair(port, now);
-            }
         }
     }
 }
@@ -2005,10 +1302,11 @@ mod tests {
         assert_eq!(r.demand_error_mean, Some(0.0), "mirror estimator");
     }
 
-    /// Asserts the sharded determinism contract between two reports:
-    /// identical behavior (events, bytes, flows, decisions, drops,
-    /// switch stats, latency/FCT observables) and identical values for
-    /// every counter that is not a per-shard structural ledger.
+    /// Asserts the K-invariance contract between a K = 1 reference and
+    /// another shard layout: identical behavior (events, bytes, flows,
+    /// decisions, drops, switch stats, latency/FCT observables) and
+    /// identical values for every counter that is not a per-shard
+    /// structural ledger.
     fn assert_shard_equiv(want: &RunReport, got: &RunReport, label: &str) {
         assert_eq!(want.events, got.events, "{label}: events");
         assert_eq!(want.offered_bytes, got.offered_bytes, "{label}: offered");
@@ -2071,7 +1369,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fast_mode_reproduces_the_classic_core() {
+    fn fast_mode_is_shard_count_invariant() {
         let n = 8;
         let mk = || {
             SimBuilder::new(hw_cfg(n))
@@ -2079,16 +1377,16 @@ mod tests {
                 .scheduler(Box::new(IslipScheduler::new(n, 3)))
                 .estimator(Box::new(MirrorEstimator::new(n)))
         };
-        let classic = mk().build().unwrap().run(SimTime::from_millis(3));
-        assert!(classic.delivered_ocs_bytes > 0);
+        let k1 = mk().build().unwrap().run(SimTime::from_millis(3));
+        assert!(k1.delivered_ocs_bytes > 0);
         for k in [2, 4, 8] {
             let sharded = mk().shards(k).build().unwrap().run(SimTime::from_millis(3));
-            assert_shard_equiv(&classic, &sharded, &format!("k={k}"));
+            assert_shard_equiv(&k1, &sharded, &format!("k={k}"));
         }
     }
 
     #[test]
-    fn sharded_slow_mode_reproduces_the_classic_core() {
+    fn slow_mode_is_shard_count_invariant() {
         let n = 4;
         let mk = || {
             let mut cfg = NodeConfig::slow(
@@ -2110,23 +1408,20 @@ mod tests {
                 .scheduler(Box::new(HotspotScheduler::new(10_000)))
                 .estimator(Box::new(MirrorEstimator::new(n)))
         };
-        let classic = mk().build().unwrap().run(SimTime::from_millis(20));
-        assert!(
-            classic.drops.sync_violation > 0,
-            "exercise the violation path"
-        );
+        let k1 = mk().build().unwrap().run(SimTime::from_millis(20));
+        assert!(k1.drops.sync_violation > 0, "exercise the violation path");
         for k in [2, 4] {
             let sharded = mk()
                 .shards(k)
                 .build()
                 .unwrap()
                 .run(SimTime::from_millis(20));
-            assert_shard_equiv(&classic, &sharded, &format!("slow k={k}"));
+            assert_shard_equiv(&k1, &sharded, &format!("slow k={k}"));
         }
     }
 
     #[test]
-    fn sharded_with_apps_reproduces_the_classic_core() {
+    fn apps_are_shard_count_invariant() {
         let n = 4;
         let mk = || {
             let mk_app = |id, s, d| {
@@ -2139,14 +1434,14 @@ mod tests {
                 .scheduler(Box::new(IslipScheduler::new(n, 3)))
                 .estimator(Box::new(MirrorEstimator::new(n)))
         };
-        let classic = mk().build().unwrap().run(SimTime::from_millis(10));
-        assert!(classic.latency_interactive.count() > 0, "apps flowed");
+        let k1 = mk().build().unwrap().run(SimTime::from_millis(10));
+        assert!(k1.latency_interactive.count() > 0, "apps flowed");
         let sharded = mk()
             .shards(2)
             .build()
             .unwrap()
             .run(SimTime::from_millis(10));
-        assert_shard_equiv(&classic, &sharded, "apps k=2");
+        assert_shard_equiv(&k1, &sharded, "apps k=2");
     }
 
     #[test]
@@ -2181,7 +1476,7 @@ mod tests {
                 .workload(flows(n, 0.4, 7))
                 .scheduler(Box::new(IslipScheduler::new(n, 3)))
         };
-        let classic = mk().build().unwrap().run(SimTime::from_millis(3));
+        let k1 = mk().build().unwrap().run(SimTime::from_millis(3));
         // A deliberately lopsided, non-contiguous assignment.
         let map = ShardMap::from_assignment(vec![1, 0, 2, 0, 1, 0, 2, 0]).unwrap();
         let sharded = mk()
@@ -2189,7 +1484,7 @@ mod tests {
             .build()
             .unwrap()
             .run(SimTime::from_millis(3));
-        assert_shard_equiv(&classic, &sharded, "scattered map");
+        assert_shard_equiv(&k1, &sharded, "scattered map");
     }
 
     #[test]

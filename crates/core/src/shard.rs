@@ -1,20 +1,20 @@
-//! Sharded parallel simulation core: the fabric splits into K port
-//! groups, each owning its hosts, VOQ bank rows, packet pool and event
-//! queue. Intra-shard work (NIC pumps, switch-ingress classification,
-//! slow-mode grant transmission) runs independently per shard between
-//! *barriers* — the coordinator's own events (epochs, slot activations,
-//! app sends, matrix rotations), which own cross-shard state: the
-//! scheduler, the OCS/EPS, the instrumentation sinks and the buffer
-//! tracker.
+//! The event loop: the fabric splits into K port groups ("shards"),
+//! each owning its hosts, VOQ bank rows, packet pool and event queue.
+//! Intra-shard work (flow injection, NIC pumps, switch-ingress
+//! classification, slow-mode grant transmission) runs independently per
+//! shard between *barriers* — the coordinator's own events (epochs, slot
+//! activations, app sends, matrix rotations, faults), which own
+//! cross-shard state: the scheduler, the OCS/EPS, the instrumentation
+//! sinks and the buffer tracker. This is the paper's switch: one central
+//! scheduler sending grants to per-port processing logic.
 //!
 //! # Determinism contract
 //!
-//! The sharded core is defined by equivalence, not by approximation:
+//! Results are defined by equivalence, not by approximation:
 //!
-//! * **K = 1 is not this code.** A build without shards runs the classic
-//!   single-queue loop in [`super::HybridSim::run`], byte-identical to
-//!   every prior release (golden traces hold without regeneration).
-//! * **K > 1 reproduces K = 1** on events, delivered bytes, offered
+//! * **K = 1 is the reference.** A default build is one shard owning
+//!   every port; its runs are pinned byte-for-byte by the golden traces.
+//! * **Every K reproduces K = 1** on events, delivered bytes, offered
 //!   bytes, decisions, drops and the scheduler-/grant-path counters, for
 //!   any shard map. Three mechanisms make that exact rather than lucky:
 //!   1. *Windows end at the next coordinator event, with same-instant
@@ -23,16 +23,15 @@
 //!      was *scheduled*. A shard processes events with `t < T_next`,
 //!      plus events at exactly `T_next` whose stamp is older than the
 //!      coordinator event's own stamp; same-instant events within a
-//!      shard replay in stamp order. That is precisely the K = 1 pop
-//!      order (insertion sequence) whenever scheduling times differ —
-//!      e.g. a `SwitchIn` landing on the very nanosecond a slot
+//!      shard replay in stamp order. That is precisely the pop order of
+//!      one global queue (insertion sequence) whenever scheduling times
+//!      differ — e.g. a `SwitchIn` landing on the very nanosecond a slot
 //!      activates runs first iff its NIC scheduled it before the slot
-//!      was configured, exactly as the single queue would have popped
-//!      them. Events tied on *both* fire and scheduling time keep
-//!      coordinator-first / insertion order — still deterministic, and
-//!      reachable only if one handler schedules a shard event and a
-//!      coordinator event for the same future instant (today that
-//!      needs the control one-way delay to exactly equal the OCS
+//!      was configured. Events tied on *both* fire and scheduling time
+//!      keep coordinator-first / insertion order — still deterministic,
+//!      and reachable only if one handler schedules a shard event and a
+//!      coordinator event for the same future instant (today that needs
+//!      the control one-way delay to exactly equal the OCS
 //!      reconfiguration delay).
 //!   2. *Sink effects are shipped, not applied.* Anything a shard-local
 //!      event would do to shared state — an EPS arrival, a slow-mode
@@ -45,20 +44,21 @@
 //!      scheduler and the decision-latency RNG consume identical inputs.
 //!
 //! Counters whose value reflects *structure* rather than behavior —
-//! the per-shard ladder-queue and packet-pool ledgers (`queue_*`,
-//! `pool_*`) — are merged across shards with
+//! the coordinator's and the shards' ladder-queue and packet-pool
+//! ledgers (`queue_*`, `pool_*`) — are merged across shards with
 //! [`CounterSet::merge`] semantics (sums for tallies, max for peaks) and
 //! are deterministic per `(K, seed)` but legitimately K-dependent.
 //!
 //! # Execution
 //!
-//! Shard windows run on their own threads when the machine has more
-//! than one CPU ([`ShardExec::Auto`]); on a single CPU they run inline,
-//! sequentially — same results either way, because shards share nothing
-//! within a window. Even inline, sharding pays on big fabrics: each
-//! shard's window drains its events back-to-back against a private pool
-//! and VOQ slice, instead of interleaving every port's state through one
-//! global time order.
+//! With K > 1, shard windows run on worker threads when the machine has
+//! more than one CPU ([`ShardExec::Auto`]); on a single CPU they run
+//! inline, sequentially — same results either way, because shards share
+//! nothing within a window. Even inline, sharding pays on big fabrics:
+//! each shard's window drains its events back-to-back against a private
+//! pool and VOQ slice, instead of interleaving every port's state through
+//! one global time order. K = 1 always runs inline and replays its ship
+//! log in place: one shard's log is already in canonical order.
 
 use super::*;
 
@@ -126,11 +126,12 @@ impl ShardMap {
     }
 }
 
-/// How shard windows execute between barriers.
+/// How shard windows execute between barriers. A single shard always
+/// runs inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardExec {
-    /// One worker thread per busy shard when the machine has more than
-    /// one CPU; inline otherwise.
+    /// Worker threads (at most one per CPU) when the machine has more
+    /// than one CPU; inline otherwise.
     #[default]
     Auto,
     /// Always sequential, in shard order, on the calling thread.
@@ -140,30 +141,33 @@ pub enum ShardExec {
     Threads,
 }
 
-/// Shard-local events: the subset of [`Ev`] whose handlers touch only
-/// one port group's state plus pure sinks (which get shipped).
+/// Shard-local events: the ones whose handlers touch only one port
+/// group's state plus pure sinks (which get shipped). `li` is a host's
+/// index within its shard.
 #[derive(Debug)]
 enum SEv {
     /// A pre-generated flow arrives at its (shard-owned) source host.
-    Inject {
-        flow: FlowSpec,
-    },
-    Pump {
-        host: usize,
-    },
-    SwitchIn {
-        pkt: Packet,
-    },
+    Inject { flow: FlowSpec },
+    /// Host NIC pump: serialize the next staged packet toward the switch.
+    Pump { li: usize },
+    /// A packet's last bit arrives at the switch ingress.
+    SwitchIn { pkt: Packet },
+    /// (Slow mode) A grant reaches a host: transmit into the window as
+    /// the host's skewed clock sees it.
     HostGrant {
-        host: usize,
+        li: usize,
         dst: usize,
         slot_start: SimTime,
         slot_end: SimTime,
     },
-    OcsIn {
-        pkt: Packet,
-    },
+    /// (Slow mode) A host-released bulk packet arrives at the switch
+    /// expecting a live circuit.
+    OcsIn { pkt: Packet },
 }
+
+// A shard-queue entry is `(time, seq)` plus the stamped payload: at most
+// 48 B of stamp and event keeps it within one 64 B cache line.
+const _: () = assert!(std::mem::size_of::<(SimTime, SEv)>() <= 48);
 
 /// A side effect on shared state, deferred to the next barrier.
 #[derive(Debug)]
@@ -184,10 +188,10 @@ enum ShipKind {
     },
 }
 
+/// A shipped effect; its position in the shard's log is its `seq`.
 #[derive(Debug)]
 struct Ship {
     t: SimTime,
-    seq: u64,
     kind: ShipKind,
 }
 
@@ -203,14 +207,12 @@ struct Shard {
     pool: PacketPool,
     /// Row-windowed switch VOQ bank (this shard's source rows only).
     proc: ProcessingLogic,
-    /// Payloads carry the event's *scheduling* time — the `now` of the
-    /// handler (or coordinator) that scheduled it — so same-instant
-    /// events can replay in K = 1 insertion order.
-    queue: EventQueue<(SimTime, SEv)>,
-    /// Scratch for draining a same-instant batch in `run_window`.
-    batch: Vec<(SimTime, SEv)>,
+    /// Every event is stamped with its *scheduling* time — the `now` of
+    /// the handler (or coordinator) that scheduled it — and the queue
+    /// pops same-instant events in stamp order: the insertion order of
+    /// one global queue.
+    queue: EventQueue<SEv>,
     host_tx: TxTimeCache,
-    req_scratch: Vec<SchedRequest>,
     // Immutable per-run configuration copies (kept off `SimState` so a
     // window borrows nothing shared).
     is_hw: bool,
@@ -219,7 +221,6 @@ struct Shard {
     prop: SimDuration,
     track_buffers: bool,
     // Accounting.
-    next_pkt_id: u64,
     pops: u64,
     ship: Vec<Ship>,
 }
@@ -230,29 +231,24 @@ impl Shard {
     }
 
     fn ship(&mut self, t: SimTime, kind: ShipKind) {
-        let seq = self.ship.len() as u64;
-        self.ship.push(Ship { t, seq, kind });
+        self.ship.push(Ship { t, kind });
     }
 
-    fn host_mut(&mut self, global: usize) -> &mut Host {
-        let li = self.local[global];
-        debug_assert!(
-            li != u32::MAX,
-            "port {global} not owned by shard {}",
-            self.id
-        );
-        &mut self.hosts[li as usize]
+    /// The shard-local index of global port `port`.
+    fn local_of(&self, port: usize) -> usize {
+        let li = self.local[port];
+        debug_assert!(li != u32::MAX, "port {port} not owned by shard {}", self.id);
+        li as usize
     }
 
     /// `at_least` is the caller's current time — it doubles as the new
     /// event's scheduling stamp.
-    fn ensure_pump(&mut self, at_least: SimTime, host: usize) {
-        let li = self.local[host] as usize;
+    fn ensure_pump(&mut self, at_least: SimTime, li: usize) {
         let h = &mut self.hosts[li];
         if !h.pump_active {
             h.pump_active = true;
             let at = at_least.max(h.nic_busy_until);
-            self.queue.schedule_at(at, (at_least, SEv::Pump { host }));
+            self.queue.schedule_stamped(at, at_least, SEv::Pump { li });
         }
     }
 
@@ -269,103 +265,44 @@ impl Shard {
 
     /// Drains shard-local events with `t < T_next` — plus events at
     /// exactly `T_next` scheduled before the coordinator event was —
-    /// capped by the horizon. Same-instant events replay in scheduling-
-    /// stamp order: the K = 1 insertion sequence.
+    /// capped by the horizon. The queue pops same-instant events in stamp
+    /// order, so the first event at `T_next` stamped at or after the
+    /// coordinator event ends the window, and everything behind it waits.
     fn run_window(&mut self, limit: Option<(SimTime, SimTime)>, horizon: SimTime) {
-        loop {
-            let Some(t) = self.queue.peek_time() else {
-                return;
-            };
-            if t > horizon || limit.is_some_and(|(lt, _)| t > lt) {
-                return;
-            }
-            let (sched, ev) = self.queue.pop().expect("peeked").1;
-            // Fast path: the instant holds exactly one event (the
-            // overwhelmingly common case — packet times rarely collide),
-            // so stamp order is trivially satisfied.
-            if self.queue.peek_time() != Some(t) {
-                match limit {
-                    Some((lt, ls)) if t == lt && sched >= ls => {
-                        // Due only after the coordinator event: put it
-                        // back and end the window.
-                        self.queue.schedule_at(t, (sched, ev));
-                        return;
-                    }
-                    _ => {
-                        self.pops += 1;
-                        self.handle(t, ev);
-                        continue;
-                    }
-                }
-            }
-            // Same-instant batch: drain it, replay in stamp order (the
-            // K = 1 insertion sequence), defer what the coordinator
-            // event precedes.
-            let mut batch = std::mem::take(&mut self.batch);
-            batch.push((sched, ev));
-            while self.queue.peek_time() == Some(t) {
-                let (_, item) = self.queue.pop().expect("peeked");
-                batch.push(item);
-            }
-            // Stable, so equal stamps keep queue (insertion) order.
-            batch.sort_by_key(|&(sched, _)| sched);
+        while let Some((t, stamp)) = self.queue.peek_key() {
             let due = match limit {
-                Some((lt, ls)) if t == lt => batch.partition_point(|&(sched, _)| sched < ls),
-                _ => batch.len(),
+                Some((lt, ls)) => t < lt || (t == lt && stamp < ls),
+                None => true,
             };
-            // Anything stamped at-or-after the coordinator event waits
-            // for the next window; re-queued stamp-sorted, which the
-            // stable re-sort above preserves across windows.
-            for (sched, ev) in batch.drain(due..) {
-                self.queue.schedule_at(t, (sched, ev));
-            }
-            let blocked = due == 0;
-            for (_, ev) in batch.drain(..) {
-                self.pops += 1;
-                self.handle(t, ev);
-            }
-            self.batch = batch;
-            if blocked {
+            if t > horizon || !due {
                 return;
             }
+            let (_, ev) = self.queue.pop().expect("peeked");
+            self.pops += 1;
+            self.handle(t, ev);
         }
     }
 
     fn handle(&mut self, now: SimTime, ev: SEv) {
         match ev {
-            // Mirrors `SimState::inject_flow`; flow-start notification
-            // and offered-byte accounting already happened coordinator-
-            // side at pre-generation.
+            // Flow-start notification and offered-byte accounting
+            // already happened coordinator-side at pre-generation.
             SEv::Inject { flow: f } => {
-                let host = f.src.index();
-                let gated = self.gated(f.class);
+                let li = self.local_of(f.src.index());
+                let host_voq = self.gated(f.class) && !self.is_hw;
+                let h = &mut self.hosts[li];
                 for (seq, size) in packet_sizes(f.bytes, self.mtu).enumerate() {
-                    // Ids are namespaced per shard (unobservable in any
-                    // report; uniqueness is all that matters).
-                    let id = ((self.id as u64 + 1) << 48) | self.next_pkt_id;
-                    let pkt = Packet::new(id, f.id, f.src, f.dst, size, f.class, now, seq as u32);
-                    self.next_pkt_id += 1;
-                    if gated && !self.is_hw {
-                        let li = self.local[host] as usize;
-                        let h = &mut self.hosts[li];
+                    let pkt = Packet::new(f.id, f.src, f.dst, size, f.class, now, seq as u32);
+                    if host_voq {
+                        // Slow scheduling: bulk waits in host memory for
+                        // a grant.
                         let d = f.dst.index();
                         self.pool.push(&mut h.voq[d], pkt);
                         h.voq_bytes[d] += size as u64;
                         h.voq_total += size as u64;
                         h.voq_arrived[d] += size as u64;
                         h.voq_dirty[d] = true;
-                        if self.track_buffers {
-                            self.ship(
-                                now,
-                                ShipKind::BufEnqueue {
-                                    site: Site::Host,
-                                    bytes: size as u64,
-                                },
-                            );
-                        }
                     } else {
-                        let li = self.local[host] as usize;
-                        let h = &mut self.hosts[li];
                         let q = match pkt.class {
                             TrafficClass::Interactive => &mut h.q_inter,
                             TrafficClass::Short => &mut h.q_short,
@@ -374,26 +311,37 @@ impl Shard {
                         self.pool.push(q, pkt);
                     }
                 }
-                self.ensure_pump(now, host);
+                if host_voq && self.track_buffers && f.bytes > 0 {
+                    // One enqueue of the whole flow: the tracker's peak
+                    // after k same-instant enqueues is that of their sum.
+                    self.ship(
+                        now,
+                        ShipKind::BufEnqueue {
+                            site: Site::Host,
+                            bytes: f.bytes,
+                        },
+                    );
+                }
+                self.ensure_pump(now, li);
             }
 
-            SEv::Pump { host } => {
-                let nic_busy = self.host_mut(host).nic_busy_until;
-                if now < nic_busy {
-                    self.queue.schedule_at(nic_busy, (now, SEv::Pump { host }));
+            SEv::Pump { li } => {
+                let h = &mut self.hosts[li];
+                if now < h.nic_busy_until {
+                    // A grant burst claimed the NIC; come back when free.
+                    let at = h.nic_busy_until;
+                    self.queue.schedule_at(at, SEv::Pump { li });
                     return;
                 }
-                let li = self.local[host] as usize;
-                let popped = self.hosts[li].pop_staged(&mut self.pool);
-                let Some(pkt) = popped else {
-                    self.hosts[li].pump_active = false;
+                let Some(pkt) = h.pop_staged(&mut self.pool) else {
+                    h.pump_active = false;
                     return;
                 };
                 let tx = self.host_tx.tx_time(pkt.bytes as u64);
-                self.hosts[li].nic_busy_until = now + tx;
+                h.nic_busy_until = now + tx;
                 self.queue
-                    .schedule_at(now + tx + self.prop, (now, SEv::SwitchIn { pkt }));
-                self.queue.schedule_at(now + tx, (now, SEv::Pump { host }));
+                    .schedule_at(now + tx + self.prop, SEv::SwitchIn { pkt });
+                self.queue.schedule_at(now + tx, SEv::Pump { li });
             }
 
             SEv::SwitchIn { pkt } => {
@@ -421,27 +369,29 @@ impl Shard {
             }
 
             SEv::HostGrant {
-                host,
+                li,
                 dst,
                 slot_start,
                 slot_end,
             } => {
-                let li = self.local[host] as usize;
-                let (start_seen, end_seen) = {
-                    let h = &self.hosts[li];
-                    (h.actual_time(slot_start), h.actual_time(slot_end))
-                };
-                let mut cursor = now.max(start_seen).max(self.hosts[li].nic_busy_until);
-                while let Some(front) = self.pool.front(&self.hosts[li].voq[dst]) {
+                // The host obeys its own clock: a skewed host mistimes the
+                // window (§2's synchronization argument).
+                let h = &self.hosts[li];
+                let end_seen = h.actual_time(slot_end);
+                let mut cursor = now.max(h.actual_time(slot_start)).max(h.nic_busy_until);
+                loop {
+                    let h = &mut self.hosts[li];
+                    let Some(front) = self.pool.front(&h.voq[dst]) else {
+                        break;
+                    };
                     let bytes = front.bytes as u64;
                     let tx = self.host_tx.tx_time(bytes);
                     if cursor + tx > end_seen {
                         break;
                     }
-                    let pkt = self.pool.pop(&mut self.hosts[li].voq[dst]).expect("peeked");
+                    let pkt = self.pool.pop(&mut h.voq[dst]).expect("peeked");
                     let dep = cursor + tx;
                     cursor = dep;
-                    let h = &mut self.hosts[li];
                     h.voq_bytes[dst] -= bytes;
                     h.voq_total -= bytes;
                     h.voq_dirty[dst] = true;
@@ -455,8 +405,7 @@ impl Shard {
                             },
                         );
                     }
-                    self.queue
-                        .schedule_at(dep + self.prop, (now, SEv::OcsIn { pkt }));
+                    self.queue.schedule_at(dep + self.prop, SEv::OcsIn { pkt });
                 }
                 let h = &mut self.hosts[li];
                 h.nic_busy_until = h.nic_busy_until.max(cursor);
@@ -470,23 +419,30 @@ impl Shard {
     }
 }
 
-/// Runs the sharded core. Entered from [`HybridSim::run`] when the
-/// build carries a shard map with `k > 1`.
-pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> RunReport {
-    let exec = sim.shard_exec;
-    let HybridSim { mut state, .. } = sim;
+/// Runs the simulation to `horizon` (the body of [`HybridSim::run`]).
+pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
+    let HybridSim {
+        mut state,
+        hosts,
+        shard_map: map,
+        shard_exec,
+    } = sim;
     state.horizon = horizon;
     let n = state.cfg.n_ports;
     assert_eq!(map.ports(), n, "shard map port-space mismatch");
-    let threaded = match exec {
-        ShardExec::Inline => false,
-        ShardExec::Threads => true,
-        ShardExec::Auto => std::thread::available_parallelism().is_ok_and(|p| p.get() > 1),
+    // Worker cap for threaded windows, read once per run (std re-reads
+    // the cgroup quota on every call). `None` runs windows inline.
+    let cpus = || std::thread::available_parallelism().map_or(1, |p| p.get());
+    let workers = match shard_exec {
+        _ if map.k() == 1 => None,
+        ShardExec::Inline => None,
+        ShardExec::Threads => Some(cpus()),
+        ShardExec::Auto => Some(cpus()).filter(|&c| c > 1),
     };
 
     // Partition the built hosts (clock offsets were drawn in global port
-    // order at build, exactly as in the classic path) into shards.
-    let mut host_slots: Vec<Option<Host>> = state.hosts.drain(..).map(Some).collect();
+    // order at build) into shards.
+    let mut host_slots: Vec<Option<Host>> = hosts.into_iter().map(Some).collect();
     let mut shards: Vec<Shard> = (0..map.k())
         .map(|s| {
             let ports = map.rows_of(s);
@@ -506,28 +462,24 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> Ru
                 proc: ProcessingLogic::with_rows(n, state.cfg.voq_capacity, ports.clone()),
                 ports,
                 queue: EventQueue::new(),
-                batch: Vec::new(),
                 host_tx: state.cfg.host_link.rate.tx_cache(),
-                req_scratch: Vec::new(),
                 is_hw: state.is_hw,
                 gate_interactive: state.cfg.voip_on_ocs,
                 mtu: state.cfg.mtu,
                 prop: state.cfg.host_link.propagation,
                 track_buffers: state.track_buffers,
-                next_pkt_id: 0,
                 pops: 0,
                 ship: Vec::new(),
             }
         })
         .collect();
 
-    // Seed the coordinator queue exactly like the classic path, except
-    // flows are pre-generated at barriers instead of chained through
-    // `Ev::NextFlow` (the generator's draw order is preserved — one draw
-    // ahead, next draw on injection). Like the shard queues, payloads
-    // carry the event's scheduling stamp (`ZERO` for the seeds, which
-    // matches the classic path scheduling them before the first pop).
-    let mut cq: EventQueue<(SimTime, Ev)> = EventQueue::new();
+    // Seed the coordinator queue. Flows are not events here: they are
+    // pre-generated at barriers (the generator's draw order is one draw
+    // ahead, next draw on injection). Coordinator events are stamped with
+    // the coordinator clock: `ZERO` for the seeds, then the handler's
+    // `now`.
+    let mut cq: EventQueue<Ev> = EventQueue::new();
     if let Some(g) = &mut state.flowgen {
         let f = g.next_flow();
         if f.start <= state.flow_stop {
@@ -535,45 +487,38 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> Ru
         }
     }
     for (i, a) in state.apps.iter().enumerate() {
-        cq.schedule_at(a.start, (SimTime::ZERO, Ev::AppSend { app: i }));
+        cq.schedule_at(a.start, Ev::AppSend { app: i });
     }
     if let Some(cycle) = &state.matrix_cycle {
-        cq.schedule_at(
-            SimTime::ZERO + cycle.period,
-            (SimTime::ZERO, Ev::RotateMatrix { idx: 1 }),
-        );
+        cq.schedule_at(SimTime::ZERO + cycle.period, Ev::RotateMatrix { idx: 1 });
     }
-    cq.schedule_at(SimTime::ZERO, (SimTime::ZERO, Ev::EpochStart));
-    // Fault chain, exactly as the classic path seeds it. Fault events
-    // are coordinator events, so every draw happens at a barrier in the
-    // same order regardless of the shard map.
+    cq.schedule_at(SimTime::ZERO, Ev::EpochStart);
+    // The fault chain, when a plan is armed. Fault events are
+    // coordinator events, so every draw happens at a barrier in the same
+    // order regardless of the shard map.
     if let Some(fs) = &mut state.faults {
         if let Some(at) = fs.first_fault_at() {
-            cq.schedule_at(at, (SimTime::ZERO, Ev::LinkFault));
+            cq.schedule_at(at, Ev::LinkFault);
         }
     }
 
     let mut coord_pops: u64 = 0;
     let mut end_time = SimTime::ZERO;
-    // The generator's "seed" draw predates every seeded event; stamps
-    // appear once the chain starts (each draw happens as its predecessor
-    // injects, exactly when `Ev::NextFlow` would have been scheduled).
+    // Stamp of the pending flow's draw: `None` for the seed draw, which
+    // predates every seeded event; afterwards each draw happens as its
+    // predecessor injects.
     let mut pending_sched: Option<SimTime> = None;
     let mut replay_buf: Vec<(SimTime, u32, u64, ShipKind)> = Vec::new();
     loop {
-        // Pop the coordinator event up front: the window rule needs its
-        // scheduling stamp, and the queue has no payload peek. Windows
-        // never schedule onto the coordinator queue, so nothing can
-        // preempt an already-popped event.
-        let coord = match cq.peek_time() {
-            Some(t) if t <= horizon => cq.pop(),
-            _ => None,
-        };
-        let limit = coord.as_ref().map(|(t, (s, _))| (*t, *s));
+        // The next coordinator event bounds the windows. Windows never
+        // schedule onto the coordinator queue, so it is still next after
+        // them.
+        let limit = cq.peek_key().filter(|&(t, _)| t <= horizon);
         pregen_flows(&mut state, &mut shards, &map, limit, &mut pending_sched);
-        run_windows(&mut shards, limit, horizon, threaded);
+        run_windows(&mut shards, limit, horizon, workers);
         replay_ships(&mut state, &mut shards, &mut replay_buf);
-        let Some((now, (_, ev))) = coord else { break };
+        let Some((now, _)) = limit else { break };
+        let (_, ev) = cq.pop().expect("peeked coordinator event");
         coord_pops += 1;
         end_time = end_time.max(now);
         handle_coord(&mut state, &mut shards, &map, &mut cq, now, ev);
@@ -582,19 +527,13 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> Ru
         end_time = end_time.max(s.queue.now());
     }
 
-    // Fold the coordinator's structural ledgers (the classic formulas —
-    // the builder's full-fabric pool and bank are inert husks here),
-    // then merge each shard's ledger set with kind-aware semantics:
-    // tallies sum, peaks max.
+    // Fold the coordinator queue's structural ledger, then merge each
+    // shard's ledger set with kind-aware semantics: tallies sum, peaks
+    // max.
     let mut st = state;
     st.counters.queue_spreads = cq.spread_count();
     st.counters.queue_spills = cq.spill_count();
     st.counters.queue_direct_sorts = cq.direct_sort_count();
-    let (p_allocs, p_frees, p_peak, p_growths) = st.proc.pool_ledger();
-    st.counters.pool_allocs = st.host_pool.alloc_count() + p_allocs;
-    st.counters.pool_frees = st.host_pool.free_count() + p_frees;
-    st.counters.pool_live_peak = st.host_pool.live_peak() + p_peak;
-    st.counters.pool_chunk_growths = st.host_pool.chunk_growth_count() + p_growths;
     let mut events = coord_pops;
     for s in &shards {
         events += s.pops;
@@ -605,15 +544,17 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> Ru
             queue_direct_sorts: s.queue.direct_sort_count(),
             pool_allocs: s.pool.alloc_count() + a,
             pool_frees: s.pool.free_count() + f,
-            // Same composition as the classic single-core formula, per
-            // shard: host-pool peak + VOQ-bank peak. Across shards the
-            // merge takes the max — the documented peak semantic.
+            // Per shard: host-pool peak + VOQ-bank peak (the pools never
+            // trade packets, so the sum is a deterministic combined
+            // ceiling). Across shards the merge takes the max — the
+            // documented peak semantic.
             pool_live_peak: s.pool.live_peak() + pk,
             pool_chunk_growths: s.pool.chunk_growth_count() + g,
             ..Default::default()
         };
         st.counters.merge(&c);
-        // Per-shard conservation audits, as strict as the classic ones.
+        // End-of-run conservation audits, on in release builds too: a
+        // packet-pool leak is a runtime bug no report may paper over.
         if let Err(e) = s.pool.check_conserved() {
             panic!("end-of-run shard {} host pool audit failed: {e}", s.id);
         }
@@ -626,11 +567,12 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> Ru
 
 /// Injects every pending flow due before `limit = (T_next, sched_coord)`
 /// (or up to the horizon when no coordinator event remains) into its
-/// source shard, drawing follow-ups in exactly the order `Ev::NextFlow`
-/// would have. A flow starting at exactly `T_next` is due iff its draw
-/// (`pending_sched`, the previous flow's start — `None` for the
-/// pre-loop seed draw) predates the coordinator event's stamp, which is
-/// when K = 1 would have scheduled its `Ev::NextFlow`.
+/// source shard, drawing follow-ups in order: one draw ahead, the next
+/// draw as its predecessor injects. A flow starting at exactly `T_next`
+/// is due iff its draw (`pending_sched`, the previous flow's start —
+/// `None` for the pre-loop seed draw) predates the coordinator event's
+/// stamp: the flow's injection is stamped with its draw time, like any
+/// event scheduled by a handler running then.
 fn pregen_flows(
     st: &mut SimState,
     shards: &mut [Shard],
@@ -660,7 +602,7 @@ fn pregen_flows(
         let sched = pending_sched.unwrap_or(SimTime::ZERO);
         shards[s]
             .queue
-            .schedule_at(start, (sched, SEv::Inject { flow: f }));
+            .schedule_stamped(start, sched, SEv::Inject { flow: f });
         *pending_sched = Some(start);
         if let Some(g) = &mut st.flowgen {
             let next = g.next_flow();
@@ -671,25 +613,26 @@ fn pregen_flows(
     }
 }
 
-/// Runs every busy shard's window — threaded when allowed and at least
-/// two shards have due work, inline otherwise. Shards share nothing
-/// within a window, so the two modes produce identical results. The
-/// threaded path caps workers at the machine's parallelism and hands
-/// each a contiguous slice of busy shards: K is free to exceed the core
-/// count (big K pays for itself in cache locality even inline — see the
-/// module docs) without spawning K threads per barrier.
+/// Runs every busy shard's window — on worker threads when `workers` is
+/// set and at least two shards have due work, inline otherwise. Shards
+/// share nothing within a window, so the two modes produce identical
+/// results. The threaded path caps workers at `workers` (the machine's
+/// parallelism, read once per run) and hands each a contiguous slice of
+/// busy shards: K is free to exceed the core count (big K pays for
+/// itself in cache locality even inline — see the module docs) without
+/// spawning K threads per barrier.
 fn run_windows(
     shards: &mut [Shard],
     limit: Option<(SimTime, SimTime)>,
     horizon: SimTime,
-    threaded: bool,
+    workers: Option<usize>,
 ) {
-    if !threaded {
+    let Some(workers) = workers else {
         for sh in shards.iter_mut() {
             sh.run_window(limit, horizon);
         }
         return;
-    }
+    };
     let mut busy: Vec<&mut Shard> = shards
         .iter_mut()
         .filter(|s| s.has_work(limit, horizon))
@@ -698,11 +641,7 @@ fn run_windows(
         0 => {}
         1 => busy[0].run_window(limit, horizon),
         n => {
-            let workers = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(n);
-            let per = n.div_ceil(workers);
+            let per = n.div_ceil(workers.min(n));
             std::thread::scope(|scope| {
                 for chunk in busy.chunks_mut(per) {
                     scope.spawn(move || {
@@ -717,71 +656,96 @@ fn run_windows(
 }
 
 /// Applies every shipped sink effect in canonical `(time, shard, seq)`
-/// order — the cross-shard merge rule that pins determinism.
+/// order — the cross-shard merge rule that pins determinism. A shard's
+/// own log is already in `(time, seq)` order (its window runs in time
+/// order), so when only one shard shipped — always, at K = 1 — its log
+/// replays in place; otherwise the logs merge through `buf`.
 fn replay_ships(
     st: &mut SimState,
     shards: &mut [Shard],
     buf: &mut Vec<(SimTime, u32, u64, ShipKind)>,
 ) {
-    if shards.iter().all(|s| s.ship.is_empty()) {
+    let mut shipping = shards.iter_mut().filter(|s| !s.ship.is_empty());
+    let Some(first) = shipping.next() else {
         return;
-    }
+    };
+    let Some(second) = shipping.next() else {
+        let mut log = std::mem::take(&mut first.ship);
+        for sh in log.drain(..) {
+            apply_ship(st, sh.t, sh.kind);
+        }
+        first.ship = log;
+        return;
+    };
     buf.clear();
-    for s in shards.iter_mut() {
+    for s in [first, second].into_iter().chain(shipping) {
         let sid = s.id as u32;
-        buf.extend(s.ship.drain(..).map(|sh| (sh.t, sid, sh.seq, sh.kind)));
+        buf.extend(
+            s.ship
+                .drain(..)
+                .zip(0u64..)
+                .map(|(sh, seq)| (sh.t, sid, seq, sh.kind)),
+        );
     }
     buf.sort_unstable_by_key(|&(t, sid, seq, _)| (t, sid, seq));
     for (t, _, _, kind) in buf.drain(..) {
-        match kind {
-            ShipKind::Eps(pkt) => {
-                let out = pkt.dst.index();
-                match st.switching.eps.enqueue(out, pkt.bytes as u64, t) {
-                    Ok(dep) => {
-                        let deliver = dep + st.cfg.host_link.propagation;
-                        st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
-                        st.flush_deliveries();
-                    }
-                    Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, t),
-                }
-            }
-            ShipKind::OcsArrival(pkt) => {
-                let (i, j, bytes) = (pkt.src.index(), pkt.dst.index(), pkt.bytes as u64);
-                if st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j)) {
-                    // Mirrors the classic `Ev::OcsIn` fault check: fault
-                    // flags only change at coordinator events, so the
-                    // state seen here equals what K = 1 saw at `t`.
-                    st.drop_sink.on_drop(DropCause::LinkDark, t);
-                    continue;
-                }
-                match st.switching.ocs.transmit(i, j, bytes, t) {
-                    Ok(()) => {
-                        let deliver = t + st.cfg.host_link.propagation;
-                        st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
-                        st.flush_deliveries();
-                    }
-                    Err(_) => st.drop_sink.on_drop(DropCause::SyncViolation, t),
-                }
-            }
-            ShipKind::Drop(cause) => st.drop_sink.on_drop(cause, t),
-            ShipKind::BufEnqueue { site, bytes } => st.buffers.on_enqueue(site, bytes, t),
-            ShipKind::BufRelease {
-                site,
-                bytes,
-                release,
-            } => st.buffers.on_dequeue_at(site, bytes, release),
-        }
+        apply_ship(st, t, kind);
     }
 }
 
-/// Handles one coordinator event at a barrier. Each arm is the classic
-/// handler operating over shard-held state (the coordinator owns every
-/// shard between windows).
+/// Applies one shipped effect at its shard-side time `t`.
+fn apply_ship(st: &mut SimState, t: SimTime, kind: ShipKind) {
+    match kind {
+        ShipKind::Eps(pkt) => {
+            let out = pkt.dst.index();
+            match st.switching.eps.enqueue(out, pkt.bytes as u64, t) {
+                Ok(dep) => {
+                    let deliver = dep + st.cfg.host_link.propagation;
+                    st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
+                    st.flush_deliveries();
+                }
+                Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, t),
+            }
+        }
+        ShipKind::OcsArrival(pkt) => {
+            let (i, j, bytes) = (pkt.src.index(), pkt.dst.index(), pkt.bytes as u64);
+            if st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j)) {
+                // The link died while the packet was in flight: the
+                // light went into a dark fiber. Fault flags only change
+                // at coordinator events, so the state seen here is the
+                // state at `t`.
+                st.drop_sink.on_drop(DropCause::LinkDark, t);
+                return;
+            }
+            match st.switching.ocs.transmit(i, j, bytes, t) {
+                Ok(()) => {
+                    let deliver = t + st.cfg.host_link.propagation;
+                    st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
+                    st.flush_deliveries();
+                }
+                // Dark window or re-assigned circuit: the light went
+                // nowhere useful.
+                Err(_) => st.drop_sink.on_drop(DropCause::SyncViolation, t),
+            }
+        }
+        ShipKind::Drop(cause) => st.drop_sink.on_drop(cause, t),
+        ShipKind::BufEnqueue { site, bytes } => st.buffers.on_enqueue(site, bytes, t),
+        ShipKind::BufRelease {
+            site,
+            bytes,
+            release,
+        } => st.buffers.on_dequeue_at(site, bytes, release),
+    }
+}
+
+/// Handles one coordinator event at a barrier, over coordinator state
+/// and shard-held state alike (the coordinator owns every shard between
+/// windows).
 fn handle_coord(
     st: &mut SimState,
     shards: &mut [Shard],
     map: &ShardMap,
-    q: &mut EventQueue<(SimTime, Ev)>,
+    q: &mut EventQueue<Ev>,
     now: SimTime,
     ev: Ev,
 ) {
@@ -789,7 +753,6 @@ fn handle_coord(
         Ev::AppSend { app } => {
             let a = st.apps[app].clone();
             let pkt = Packet::new(
-                st.next_pkt_id,
                 APP_FLOW_BASE + app as u64,
                 a.src,
                 a.dst,
@@ -798,12 +761,13 @@ fn handle_coord(
                 now,
                 0,
             );
-            st.next_pkt_id += 1;
             st.offered_bytes += a.pkt_bytes as u64;
             let host = a.src.index();
             let sh = &mut shards[map.shard_of(host)];
-            let li = sh.local[host] as usize;
+            let li = sh.local_of(host);
             if st.gated(TrafficClass::Interactive) && !st.is_hw {
+                // voip_on_ocs ablation under slow scheduling: the call
+                // waits in host memory like any elephant.
                 let d = a.dst.index();
                 let h = &mut sh.hosts[li];
                 sh.pool.push(&mut h.voq[d], pkt);
@@ -817,33 +781,38 @@ fn handle_coord(
             } else {
                 let h = &mut sh.hosts[li];
                 sh.pool.push(&mut h.q_inter, pkt);
-                sh.ensure_pump(now, host);
+                sh.ensure_pump(now, li);
             }
             let next = a.next_send(now, &mut st.rng);
             if next <= st.horizon {
-                q.schedule_at(next, (now, Ev::AppSend { app }));
+                q.schedule_at(next, Ev::AppSend { app });
             }
         }
 
         Ev::EpochStart => {
             // xlint: allow(wall-clock) — epoch phase-timing split (RunReport::phases): host-time observability, excluded from golden serialization
             let phase_t0 = std::time::Instant::now();
+            // Pool-boundary audit, once per epoch: every chunk in a
+            // shard's host pool is on the free list or reachable from
+            // exactly one staging queue / VOQ (the switch-side pool
+            // asserts the same inside `take_requests_into`). Free in
+            // release builds.
             for s in shards.iter() {
                 s.pool.debug_assert_conserved();
             }
-            // Requests from every shard, merged into global (src, dst)
+            // Figure 2: requests → demand estimation → algorithm.
+            // Requests from every shard merge into global (src, dst)
             // order — identical to a full-fabric row-major scan.
+            // Requests, demand and ground truth all land in reused
+            // scratch buffers: this loop runs every epoch and must not
+            // make n²-sized allocations.
             let mut reqs = std::mem::take(&mut st.reqs_scratch);
             reqs.clear();
             for s in shards.iter_mut() {
                 if st.is_hw {
-                    let mut buf = std::mem::take(&mut s.req_scratch);
-                    s.proc.take_requests_into(now, &mut buf);
-                    reqs.extend_from_slice(&buf);
-                    s.req_scratch = buf;
+                    s.proc.take_requests_into(now, &mut reqs);
                 } else {
-                    for (li, &hi) in s.ports.clone().iter().enumerate() {
-                        let h = &mut s.hosts[li];
+                    for (&hi, h) in s.ports.iter().zip(s.hosts.iter_mut()) {
                         for d in 0..h.voq_dirty.len() {
                             if h.voq_dirty[d] {
                                 h.voq_dirty[d] = false;
@@ -859,16 +828,33 @@ fn handle_coord(
                     }
                 }
             }
-            reqs.sort_unstable_by_key(|r| (r.src, r.dst));
+            // Each shard emits its own rows in order; only rows from
+            // several shards need merging.
+            if shards.len() > 1 {
+                reqs.sort_unstable_by_key(|r| (r.src, r.dst));
+            }
             for r in &reqs {
                 st.estimator.on_request(r);
             }
             st.reqs_scratch = reqs;
+            // Estimators that keep the estimate materialized (the mirror)
+            // lend it out via `estimate_ref`; only the ones that must
+            // compute one fill the scratch matrix. The lent reference is
+            // stable within the epoch, so it is re-borrowed wherever the
+            // estimate is read.
             let have_ref = st.estimator.estimate_ref(now, st.cfg.epoch).is_some();
             if !have_ref {
                 st.estimator
                     .estimate_into(now, st.cfg.epoch, &mut st.demand_scratch);
             }
+            // Demand-error sampling. The ground-truth backlog (the
+            // EpochSample observable) is always available cheaply —
+            // incrementally in fast mode, an O(n) host sum in slow mode.
+            // The mirror's error is identically zero by construction
+            // (every occupancy change produced a request), and the
+            // non-mirror ground-truth snapshot + L1 pass (two n² walks)
+            // runs only when the epoch probe wants the sample — the lean
+            // profile declines it.
             let truth_total: u64 = if st.is_hw {
                 shards.iter().map(|s| s.proc.total_bytes()).sum()
             } else {
@@ -918,8 +904,9 @@ fn handle_coord(
                 Some(m) => m,
                 None => &st.demand_scratch,
             };
-            // Mirrors the classic handler: dark ports are masked out of
-            // the demand the scheduler sees.
+            // Graceful degradation: while ports are dark to injected
+            // faults, the scheduler sees their rows/columns zeroed — it
+            // never plans circuits through a dead link.
             let demand = match &mut st.faults {
                 Some(fs) if fs.n_failed > 0 => fs.mask_demand(demand),
                 _ => demand,
@@ -928,6 +915,7 @@ fn handle_coord(
             let phase_t1 = std::time::Instant::now();
             st.phases.estimate += phase_t1.duration_since(phase_t0).as_nanos() as u64;
             let sched = st.scheduler.schedule(demand, &ctx);
+            // Doubles as the decompose span's end when the recorder is on.
             // xlint: allow(wall-clock) — phase-timing block boundary (decompose end), never serialized into goldens
             let phase_t2 = std::time::Instant::now();
             st.phases.decompose += phase_t2.duration_since(phase_t1).as_nanos() as u64;
@@ -945,6 +933,9 @@ fn handle_coord(
                 }
             }
             if let Some(tr) = &mut st.trace {
+                // The epoch span and its two phase children reuse the
+                // phase-accounting instants read above — tracing adds no
+                // clock reads here, on or off.
                 tr.span_between(
                     "epoch",
                     "epoch",
@@ -970,6 +961,8 @@ fn handle_coord(
                 .cfg
                 .placement
                 .decision_latency(st.cfg.n_ports, &mut st.rng);
+            // Scheduler stall: the decision arrives k epochs late and the
+            // fabric coasts on the previous schedule meanwhile.
             if let Some(fs) = &mut st.faults {
                 if let Some(extra) = fs.draw_stall(st.cfg.epoch) {
                     d += extra;
@@ -979,6 +972,9 @@ fn handle_coord(
             st.decisions += 1;
             st.decision_ns_sum += d.as_nanos() as u128;
             st.epoch_probe.on_epoch(&EpochSample {
+                // One sample per decision: `decisions` was just
+                // incremented, so the zero-based epoch id is one source
+                // of truth, not a second counter.
                 epoch: st.decisions - 1,
                 at: now,
                 demand_err_rel,
@@ -989,19 +985,22 @@ fn handle_coord(
             });
             if !sched.entries.is_empty() {
                 let sid = st.alloc_sched(sched);
-                q.schedule_at(now + d, (now, Ev::ApplySchedule { sid }));
+                q.schedule_at(now + d, Ev::ApplySchedule { sid });
             }
             let next = now + st.cfg.epoch.max(d);
             if next <= st.horizon {
-                q.schedule_at(next, (now, Ev::EpochStart));
+                q.schedule_at(next, Ev::EpochStart);
             }
         }
 
         Ev::ApplySchedule { sid } => {
-            q.schedule_at(now, (now, Ev::SlotConfigure { sid, idx: 0 }));
+            q.schedule_at(now, Ev::SlotConfigure { sid, idx: 0 });
         }
 
         Ev::SlotConfigure { sid, idx } => {
+            // Reconfiguration misfire: the configure may apply late (the
+            // dark window stretches) or not at all (the stale permutation
+            // stays up for the whole slot).
             let slot_fault = match &mut st.faults {
                 Some(fs) => fs.draw_misfire(),
                 None => SlotFault::None,
@@ -1019,38 +1018,49 @@ fn handle_coord(
             let active_at = match slot_fault {
                 SlotFault::None => st.switching.configure(&entry.perm, now),
                 SlotFault::Late(extra) => st.switching.configure(&entry.perm, now + extra),
+                // No configure happened: the slot "activates" on the
+                // nominal timeline, against the stale permutation.
                 SlotFault::Stale => now + st.cfg.reconfig,
             };
             let slot_end = active_at + entry.slot;
             if !st.is_hw && slot_fault != SlotFault::Stale {
+                // Grants travel the control channel to the hosts. The
+                // advertised window is shrunk by the guard band on both
+                // edges so a host whose clock is wrong by up to `guard`
+                // still lands inside the live circuit.
                 let g = st.cfg.guard;
                 let gs = active_at + g;
                 let ge = SimTime::from_nanos(slot_end.as_nanos().saturating_sub(g.as_nanos()));
                 if ge > gs {
                     // Grants fan out to each source's owning shard.
                     for (i, j) in entry.perm.pairs() {
-                        shards[map.shard_of(i)].queue.schedule_at(
+                        let sh = &mut shards[map.shard_of(i)];
+                        let li = sh.local_of(i);
+                        sh.queue.schedule_stamped(
                             now + st.ctrl_oneway,
-                            (
-                                now,
-                                SEv::HostGrant {
-                                    host: i,
-                                    dst: j,
-                                    slot_start: gs,
-                                    slot_end: ge,
-                                },
-                            ),
+                            now,
+                            SEv::HostGrant {
+                                li,
+                                dst: j,
+                                slot_start: gs,
+                                slot_end: ge,
+                            },
                         );
                     }
                 }
             }
-            q.schedule_at(active_at, (now, Ev::SlotActive { sid, idx }));
+            q.schedule_at(active_at, Ev::SlotActive { sid, idx });
         }
 
         Ev::SlotActive { sid, idx } => {
+            // Move the schedule out of the slab for the duration of the
+            // grant burst (record_delivery needs `&mut st`), and retire
+            // the slot after the last entry.
             let sched = st.scheds[sid].take().expect("schedule slot live");
             let entry = &sched.entries[idx];
             let slot_end = now + entry.slot;
+            // A stale slot's configure never applied: every granted pair
+            // fails over. A faulted pair fails over alone.
             let stale = match &mut st.faults {
                 Some(fs) => fs.take_stale(sid, idx),
                 None => false,
@@ -1058,6 +1068,8 @@ fn handle_coord(
             if st.is_hw {
                 // xlint: allow(wall-clock) — apply phase-timing block start (RunReport::phases), excluded from golden serialization
                 let phase_t0 = std::time::Instant::now();
+                // Processing logic executes grants: budgeted dequeue,
+                // packets serialized at line rate onto the circuit.
                 let budget = st.cfg.line_rate.bytes_in(entry.slot);
                 let mut granted = std::mem::take(&mut st.grant_scratch);
                 for (i, j) in entry.perm.pairs() {
@@ -1068,18 +1080,24 @@ fn handle_coord(
                     if granted.is_empty() {
                         continue;
                     }
-                    // Same circuit probe as the classic core: overlapping
-                    // stall-delayed schedules may have darkened or
-                    // re-aimed the fabric mid-slot.
+                    // With faults armed, stall-delayed schedules can
+                    // overlap: a later schedule's configure may have
+                    // darkened or re-aimed the fabric mid-slot, so the
+                    // fault path probes the circuit where the clean path
+                    // may assert it.
                     let diverted = stale
                         || st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j))
                         || (st.faults.is_some() && st.switching.ocs.output_for(i, now) != Some(j));
                     if diverted {
-                        // Mirrors the classic failover: the burst rides
-                        // the EPS instead of the faulted/stale circuit.
+                        // Graceful degradation: the granted burst cannot
+                        // ride the circuit (dark link or stale permutation)
+                        // — divert it onto the EPS slow path packet by
+                        // packet instead of losing it.
                         for pkt in granted.drain(..) {
                             let bytes = pkt.bytes as u64;
                             if st.track_buffers {
+                                // The bytes leave the VOQ now either way
+                                // (EPS keeps its own ledger).
                                 st.release_scratch.push((now.as_nanos(), bytes));
                             }
                             match st.switching.eps.enqueue(j, bytes, now) {
@@ -1098,6 +1116,8 @@ fn handle_coord(
                     let npkts = granted.len() as u64;
                     st.counters.grant_bursts += 1;
                     st.counters.grant_pkts_max = st.counters.grant_pkts_max.max(npkts);
+                    // One circuit validation per burst (identical
+                    // accounting to per-packet transmits).
                     let total: u64 = granted.iter().map(|p| p.bytes as u64).sum();
                     st.switching
                         .ocs
@@ -1125,6 +1145,9 @@ fn handle_coord(
                         );
                     }
                 }
+                // All pairs drained the same slot: flush their releases as
+                // one timestamp-coalesced batch, and the slot's deliveries
+                // as one sink batch.
                 if st.track_buffers {
                     let mut releases = std::mem::take(&mut st.release_scratch);
                     st.buffers.on_dequeue_at_batch(Site::Switch, &mut releases);
@@ -1136,6 +1159,8 @@ fn handle_coord(
                 let phase_t1 = std::time::Instant::now();
                 st.phases.apply += phase_t1.duration_since(phase_t0).as_nanos() as u64;
                 if let Some(tr) = &mut st.trace {
+                    // Reuses the apply-phase instants: the slot span nests
+                    // the grant-burst spans recorded above.
                     tr.span_between(
                         "epoch",
                         "apply",
@@ -1147,7 +1172,7 @@ fn handle_coord(
             }
             if idx + 1 < sched.entries.len() {
                 st.scheds[sid] = Some(sched);
-                q.schedule_at(slot_end, (now, Ev::SlotConfigure { sid, idx: idx + 1 }));
+                q.schedule_at(slot_end, Ev::SlotConfigure { sid, idx: idx + 1 });
             } else {
                 st.free_scheds.push(sid);
             }
@@ -1158,7 +1183,7 @@ fn handle_coord(
                 g.set_matrix(cycle.matrices[idx % cycle.matrices.len()].clone());
                 let next = now + cycle.period;
                 if next <= st.horizon {
-                    q.schedule_at(next, (now, Ev::RotateMatrix { idx: idx + 1 }));
+                    q.schedule_at(next, Ev::RotateMatrix { idx: idx + 1 });
                 }
             }
         }
@@ -1168,11 +1193,11 @@ fn handle_coord(
             let (port, repair_at, next) = fs.on_link_fault(now);
             if let Some(at) = repair_at {
                 st.counters.fault_events_injected += 1;
-                q.schedule_at(at, (now, Ev::LinkRepair { port }));
+                q.schedule_at(at, Ev::LinkRepair { port });
             }
             if let Some(at) = next {
                 if at <= st.horizon {
-                    q.schedule_at(at, (now, Ev::LinkFault));
+                    q.schedule_at(at, Ev::LinkFault);
                 }
             }
         }
@@ -1182,15 +1207,6 @@ fn handle_coord(
                 .as_mut()
                 .expect("LinkRepair implies a plan")
                 .on_link_repair(port, now);
-        }
-
-        // Shard-local events never land on the coordinator queue.
-        Ev::NextFlow
-        | Ev::Pump { .. }
-        | Ev::SwitchIn { .. }
-        | Ev::HostGrant { .. }
-        | Ev::OcsIn { .. } => {
-            unreachable!("shard-local event on the coordinator queue")
         }
     }
 }

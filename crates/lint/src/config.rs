@@ -27,10 +27,11 @@ pub const SKIP_PREFIXES: &[&str] = &[
 /// host time must never influence the simulation domain. Allowed only
 /// in the flight recorder (wall-clock is its entire subject) and the
 /// bench harness (which measures the simulator from outside). The
-/// phase-timing blocks of `runtime.rs`/`shard.rs` and the Solstice
-/// trace spans carry inline waivers instead: those files are mostly
-/// simulation-domain code, and a file-level allowlist entry would hide
-/// a genuinely misplaced clock read there.
+/// phase-timing blocks of the event loop (`shard.rs`), the Solstice
+/// trace spans and the sweep watchdog deadline (`exec.rs`) carry inline
+/// waivers instead: those files are mostly simulation-domain code, and
+/// a file-level allowlist entry would hide a genuinely misplaced clock
+/// read there.
 pub const WALL_CLOCK_ALLOW: &[&str] = &["crates/core/src/trace.rs", "crates/bench/"];
 
 /// `random-state`: std's `HashMap`/`HashSet` default to a randomly

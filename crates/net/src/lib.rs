@@ -25,6 +25,6 @@ pub mod wire;
 
 pub use classify::{Action, LpmTable, Rule, RuleMatch, RuleTable};
 pub use fivetuple::FiveTuple;
-pub use packet::{Packet, PacketId};
+pub use packet::Packet;
 pub use types::{IpProtocol, PortNo, TrafficClass};
 pub use wire::{Ipv4Addr, MacAddr, WireError};

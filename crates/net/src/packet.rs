@@ -10,15 +10,12 @@ use xds_sim::SimTime;
 
 use crate::types::{PortNo, TrafficClass};
 
-/// Globally unique packet identifier within one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PacketId(pub u64);
-
 /// A packet descriptor as carried through hosts, VOQs, the OCS and the EPS.
+///
+/// It has no packet id: `(flow, seq)` names a packet, and nothing in the
+/// simulation needs more. 32 bytes, so two share a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
-    /// Unique id (for tracing and invariant checks).
-    pub id: PacketId,
     /// Flow this packet belongs to.
     pub flow: u64,
     /// Source port / host.
@@ -37,9 +34,7 @@ pub struct Packet {
 
 impl Packet {
     /// Convenience constructor used by generators and tests.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        id: u64,
         flow: u64,
         src: PortNo,
         dst: PortNo,
@@ -49,7 +44,6 @@ impl Packet {
         seq: u32,
     ) -> Self {
         Packet {
-            id: PacketId(id),
             flow,
             src,
             dst,
@@ -74,7 +68,6 @@ mod tests {
     #[test]
     fn age_is_measured_from_creation() {
         let p = Packet::new(
-            1,
             9,
             PortNo(0),
             PortNo(3),
@@ -93,8 +86,8 @@ mod tests {
 
     #[test]
     fn descriptor_is_compact() {
-        // The simulator moves millions of these; keep the descriptor within
-        // a cache line.
-        assert!(std::mem::size_of::<Packet>() <= 64);
+        // The simulator moves millions of these through pools and event
+        // queues; keep the descriptor at half a cache line.
+        assert!(std::mem::size_of::<Packet>() <= 32);
     }
 }

@@ -146,8 +146,9 @@ pub fn scenario(name: &str) -> Option<ScenarioSpec> {
             // the pooled data structures are sized for (a million VOQ
             // headers, slab schedules, no per-packet allocation). Like
             // the 2048 rung it defaults to one shard per source port,
-            // the fastest single-CPU layout measured (~1.5x the classic
-            // core); `--shards 1` recovers the classic single-queue run.
+            // the fastest single-CPU layout measured (~1.5x one shard
+            // for the whole fabric); `--shards 1` runs it as one shard,
+            // with identical results.
             "scale-stress-1024" => scenario("scale-stress")
                 .expect("base entry exists")
                 .with_name("scale-stress-1024")

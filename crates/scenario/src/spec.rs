@@ -613,8 +613,8 @@ pub struct ScenarioSpec {
     pub duration: SimDuration,
     /// Master seed: the root of every RNG stream this point uses.
     pub seed: u64,
-    /// Port-group shard count for the parallel simulation core (1 = the
-    /// classic single-queue core; `k > 1` reproduces it exactly — see
+    /// Port-group shard count of the simulation core (default 1: one
+    /// shard owning every port; every `k` reproduces K = 1 exactly — see
     /// the shard module's determinism contract).
     pub shards: usize,
     /// Instrumentation profile: `full` (default, classic report),

@@ -1,10 +1,12 @@
-//! Stable-order event queue and simulation driver.
+//! Stable-order event queue.
 //!
 //! The queue is generic over the event payload: domain crates define an
-//! event `enum` and a handler that matches on it, keeping all mutable state
-//! in one place (the handler's `&mut S`). Events scheduled for the same
-//! instant are delivered in insertion order, which makes every run
-//! deterministic given a fixed seed.
+//! event `enum`, drive their own pop loop and match on each event, keeping
+//! all mutable state in one place. Events scheduled for the same instant
+//! are delivered in scheduling-stamp order, then insertion order, which
+//! makes every run deterministic given a fixed seed. The stamp is the
+//! clock at insertion unless the caller supplies one
+//! ([`EventQueue::schedule_stamped`]), so by default ties break FIFO.
 //!
 //! # Implementation: a ladder queue
 //!
@@ -17,11 +19,12 @@
 //! sift per event with an append plus an amortized short sort of one
 //! cache-resident bucket.
 //!
-//! Ordering is **exactly** the heap's: every event carries a monotone
-//! sequence number, buckets are sorted by the full `(time, seq)` key, and
-//! pops always come from the sorted `bottom` run. The FIFO tie-break at
-//! equal timestamps is therefore an explicit invariant of the data
-//! structure (pinned by `ties_break_by_insertion_order` and the
+//! Ordering is **exactly** the heap's: every event carries a stamp and a
+//! monotone sequence number, buckets are sorted by the full
+//! `(time, stamp, seq)` key, and pops always come from the sorted
+//! `bottom` run. The tie-break at equal timestamps is therefore an
+//! explicit invariant of the data structure (pinned by
+//! `ties_break_by_insertion_order`, `ties_break_by_stamp_first` and the
 //! differential property test in `tests/proptest_kernel.rs`), not an
 //! accident of heap sift order — swapping the backing store cannot
 //! reorder equal-time events.
@@ -29,7 +32,7 @@
 //! Structure, nearest first:
 //!
 //! * `bottom` — the imminent events, a ring buffer sorted *descending*
-//!   by `(time, seq)` and popped from the back (a pop is O(1), an
+//!   by `(time, stamp, seq)` and popped from the back (a pop is O(1), an
 //!   insert shifts whichever side of the ring is shorter — so both a
 //!   near-`now` event and a same-instant append are cheap);
 //! * `rungs` — a stack of bucket arrays. Rung 0 spans every event known
@@ -46,15 +49,17 @@ use crate::time::{SimDuration, SimTime};
 /// An event payload scheduled for a specific instant.
 struct Scheduled<E> {
     time: SimTime,
+    stamp: SimTime,
     seq: u64,
     payload: E,
 }
 
 impl<E> Scheduled<E> {
-    /// The total order of delivery: time first, insertion order at ties.
+    /// The total order of delivery: time first, then stamp, then
+    /// insertion order.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> (SimTime, SimTime, u64) {
+        (self.time, self.stamp, self.seq)
     }
 }
 
@@ -70,9 +75,10 @@ const SUB_BUCKETS: usize = 64;
 const SPREAD_THRESHOLD: usize = 96;
 /// An exhausted ladder whose overflow is at most this many events skips
 /// bucketing and sorts the overflow straight into `bottom`: for sparse
-/// queues (slow-mode runs idle between grant bursts) the ladder
-/// degenerates into one small sorted run instead of paying rung
-/// bookkeeping per event. Safe only because of the spill valve below.
+/// queues (a shard's few NIC/ingress events, slow-mode runs idle between
+/// grant bursts) the ladder degenerates into one small sorted run, which
+/// then takes every later insert, instead of paying rung bookkeeping per
+/// event. Safe only because of the spill valve below.
 const DIRECT_SORT: usize = 96;
 /// When merge-inserts grow `bottom` beyond this, its far half is spilled
 /// into a fresh deepest rung and `bottom_limit` lowered. This is the
@@ -81,6 +87,10 @@ const DIRECT_SORT: usize = 96;
 /// sort or a coarse bucket) — without it each insert would shift an
 /// ever-growing tail, degenerating into an O(n²) insertion list.
 const SPILL_THRESHOLD: usize = 256;
+/// A merge-insert that has to shift more than this many events also
+/// trips the valve: an interleaved burst lands mid-run, where every
+/// further insert would shift as much again.
+const SPILL_SHIFT: usize = 32;
 
 /// One level of the ladder: `buckets[i]` holds events with
 /// `start + i·width <= t < start + (i+1)·width`, unsorted.
@@ -146,13 +156,15 @@ impl<E> Rung<E> {
 /// A future-event list with a monotonically advancing clock.
 ///
 /// Invariants:
-/// * [`EventQueue::pop`] never returns events out of `(time, seq)` order;
+/// * [`EventQueue::pop`] never returns events out of `(time, stamp, seq)`
+///   order — plain [`EventQueue::schedule_at`] stamps the current clock,
+///   so without explicit stamps that is FIFO among equal times;
 /// * the clock (`now`) never moves backwards;
 /// * scheduling an event strictly in the past is a logic error and panics;
 /// * whenever the queue is non-empty, `bottom` is non-empty and its last
-///   element is the global minimum `(time, seq)`.
+///   element is the global minimum `(time, stamp, seq)`.
 pub struct EventQueue<E> {
-    /// Imminent events, sorted descending by `(time, seq)`; popped from
+    /// Imminent events, sorted descending by `(time, stamp, seq)`; popped from
     /// the back. Covers times strictly below `bottom_limit`. A ring
     /// buffer so merge-inserts shift the shorter side: a same-instant
     /// flood keeps appending at the front for O(1) each, where a `Vec`
@@ -210,13 +222,26 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `payload` for the absolute instant `at`.
+    /// Schedules `payload` for the absolute instant `at`, stamped with
+    /// the current clock: equal-time events pop in insertion order.
     ///
     /// # Panics
     /// Panics if `at` is earlier than the current clock: an event in the
     /// past indicates a bug in the caller's timing logic, and silently
     /// reordering it would corrupt the run.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
+        self.schedule_stamped(at, self.now, payload);
+    }
+
+    /// Schedules `payload` for `at` with an explicit scheduling stamp:
+    /// among events due at the same instant, lower stamps pop first
+    /// (insertion order breaks stamp ties). Lets a caller that feeds one
+    /// queue from several clocks replay equal-time events in the order a
+    /// single global queue would have inserted them.
+    ///
+    /// # Panics
+    /// As [`schedule_at`](Self::schedule_at).
+    pub fn schedule_stamped(&mut self, at: SimTime, stamp: SimTime, payload: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at} now={}",
@@ -228,6 +253,7 @@ impl<E> EventQueue<E> {
         self.len += 1;
         let ev = Scheduled {
             time: at,
+            stamp,
             seq,
             payload,
         };
@@ -248,10 +274,11 @@ impl<E> EventQueue<E> {
             // events delivered *before* this one — for the common
             // "schedule at `now`" case that is just the same-instant
             // events already pending, typically a handful.
-            let key = (at, seq);
+            let key = (at, stamp, seq);
             let pos = self.bottom.partition_point(|e| e.key() > key);
+            let shift = pos.min(self.bottom.len() - pos);
             self.bottom.insert(pos, ev);
-            if self.bottom.len() > SPILL_THRESHOLD {
+            if self.bottom.len() > SPILL_THRESHOLD || shift > SPILL_SHIFT {
                 self.spill_bottom();
             }
             return;
@@ -293,6 +320,11 @@ impl<E> EventQueue<E> {
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.bottom.back().map(|s| s.time)
+    }
+
+    /// The `(time, stamp)` of the earliest pending event, if any.
+    pub fn peek_key(&self) -> Option<(SimTime, SimTime)> {
+        self.bottom.back().map(|s| (s.time, s.stamp))
     }
 
     /// Number of pending events.
@@ -362,13 +394,16 @@ impl<E> EventQueue<E> {
             if self.depth == 0 {
                 debug_assert!(!self.overflow.is_empty(), "events lost by the ladder");
                 if self.overflow.len() <= DIRECT_SORT {
-                    // Sparse population: one sorted run, no rung. A later
-                    // dense burst under the raised `bottom_limit` is
-                    // handled by the spill valve.
+                    // Sparse population: one sorted run, no rung. The run
+                    // holds every pending event, so it owns all of time:
+                    // later events merge-insert into it (cheap — they land
+                    // near its far end) rather than collecting in
+                    // `overflow` for another sort. A dense burst is
+                    // handed back to a rung by the spill valve.
                     self.direct_sorts += 1;
                     let mut batch = std::mem::take(&mut self.overflow);
                     batch.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.bottom_limit = batch[0].time.as_nanos().saturating_add(1);
+                    self.bottom_limit = u64::MAX;
                     self.bottom = VecDeque::from(batch);
                     return;
                 }
@@ -426,12 +461,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves the far (front) half of an oversized `bottom` into a fresh
-    /// deepest rung covering `[split, bottom_limit)` and lowers
-    /// `bottom_limit` to the split. Legal because a deeper rung always
-    /// covers times *below* every shallower rung's undrained frontier —
-    /// exactly where these events sit — so pop order is preserved; the
-    /// split is taken at a strict time boundary so equal-time FIFO runs
-    /// are never torn apart.
+    /// deepest rung covering `[split, bottom_limit)` — or, with no rung
+    /// active, `[split, last event]`, later times going to `overflow` —
+    /// and lowers `bottom_limit` to the split. Legal because a deeper
+    /// rung always covers times *below* every shallower rung's undrained
+    /// frontier — exactly where these events sit — so pop order is
+    /// preserved; the split is taken at a strict time boundary so
+    /// equal-time FIFO runs are never torn apart.
     fn spill_bottom(&mut self) {
         // `bottom` is descending: the front half holds the latest times.
         let mid_time = self.bottom[self.bottom.len() / 2].time;
@@ -443,7 +479,13 @@ impl<E> EventQueue<E> {
             return;
         }
         let start = mid_time.as_nanos().saturating_add(1);
-        let end = self.bottom_limit;
+        // With no rung active, nothing shallower owns the times past the
+        // run's last event: the spill rung stops there and later times go
+        // to `overflow`, instead of slicing up all of `[start, limit)`.
+        let end = match self.depth {
+            0 => self.bottom[0].time.as_nanos().saturating_add(1),
+            _ => self.bottom_limit,
+        };
         debug_assert!(start < end, "spill range must be non-empty");
         let span = end - start;
         let width = (span - 1) / SUB_BUCKETS as u64 + 1;
@@ -495,75 +537,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Statistics returned by a completed [`Simulation`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunStats {
-    /// Events delivered to the handler.
-    pub events_processed: u64,
-    /// Clock value when the run stopped.
-    pub end_time: SimTime,
-    /// True if the run stopped because the event horizon was reached (rather
-    /// than the queue draining or the event budget being exhausted).
-    pub hit_horizon: bool,
-}
-
-/// A thin driver that repeatedly pops events and hands them to a handler
-/// together with mutable access to the queue (so handlers can schedule
-/// follow-up events) and to the caller's state.
-pub struct Simulation<E> {
-    /// The underlying event queue. Exposed so that setup code can seed
-    /// initial events before calling [`Simulation::run_until`].
-    pub queue: EventQueue<E>,
-    /// Safety valve: the run aborts after this many events. Defaults to
-    /// `u64::MAX` (disabled).
-    pub max_events: u64,
-}
-
-impl<E> Default for Simulation<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Simulation<E> {
-    /// Creates a driver with an empty queue and no event budget.
-    pub fn new() -> Self {
-        Simulation {
-            queue: EventQueue::new(),
-            max_events: u64::MAX,
-        }
-    }
-
-    /// Runs until the queue drains, the clock passes `horizon`, or the event
-    /// budget is exhausted. Events timestamped exactly at `horizon` are
-    /// still delivered; later ones are left in the queue.
-    pub fn run_until<S, F>(&mut self, state: &mut S, horizon: SimTime, mut handler: F) -> RunStats
-    where
-        F: FnMut(&mut S, &mut EventQueue<E>, SimTime, E),
-    {
-        let mut processed = 0u64;
-        let mut hit_horizon = false;
-        while processed < self.max_events {
-            match self.queue.peek_time() {
-                None => break,
-                Some(t) if t > horizon => {
-                    hit_horizon = true;
-                    break;
-                }
-                Some(_) => {}
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event vanished");
-            handler(state, &mut self.queue, t, ev);
-            processed += 1;
-        }
-        RunStats {
-            events_processed: processed,
-            end_time: self.queue.now(),
-            hit_horizon,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,6 +560,25 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    /// Explicit stamps order equal-time events ahead of insertion order;
+    /// equal stamps stay FIFO, and time still comes first.
+    #[test]
+    fn ties_break_by_stamp_first() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(50);
+        q.schedule_stamped(t, SimTime::from_nanos(30), "c");
+        q.schedule_stamped(t, SimTime::from_nanos(10), "a");
+        q.schedule_stamped(SimTime::from_nanos(40), SimTime::from_nanos(35), "first");
+        q.schedule_stamped(t, SimTime::from_nanos(30), "d");
+        q.schedule_stamped(t, SimTime::from_nanos(20), "b");
+        assert_eq!(
+            q.peek_key(),
+            Some((SimTime::from_nanos(40), SimTime::from_nanos(35)))
+        );
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["first", "a", "b", "c", "d"]);
     }
 
     /// The FIFO tie-break must survive *interleaved* pops and pushes at
@@ -732,54 +724,6 @@ mod tests {
         q.schedule_after(SimDuration::from_nanos(5), 2);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_nanos(15));
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut sim = Simulation::new();
-        for i in 1..=10u64 {
-            sim.queue.schedule_at(SimTime::from_nanos(i * 10), i);
-        }
-        let mut seen = Vec::new();
-        let stats = sim.run_until(&mut seen, SimTime::from_nanos(50), |s, _, _, e| s.push(e));
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(stats.events_processed, 5);
-        assert!(stats.hit_horizon);
-        assert_eq!(sim.queue.len(), 5);
-    }
-
-    #[test]
-    fn run_until_drains_queue_without_horizon_flag() {
-        let mut sim = Simulation::new();
-        sim.queue.schedule_at(SimTime::from_nanos(1), ());
-        let stats = sim.run_until(&mut (), SimTime::MAX, |_, _, _, _| {});
-        assert_eq!(stats.events_processed, 1);
-        assert!(!stats.hit_horizon);
-    }
-
-    #[test]
-    fn handler_can_schedule_follow_ups() {
-        let mut sim = Simulation::new();
-        sim.queue.schedule_at(SimTime::from_nanos(1), 0u32);
-        let mut count = 0u32;
-        sim.run_until(&mut count, SimTime::from_micros(1), |c, q, _, hop| {
-            *c += 1;
-            if hop < 9 {
-                q.schedule_after(SimDuration::from_nanos(3), hop + 1);
-            }
-        });
-        assert_eq!(count, 10);
-    }
-
-    #[test]
-    fn max_events_budget_stops_runaway_loops() {
-        let mut sim = Simulation::new();
-        sim.queue.schedule_at(SimTime::from_nanos(1), ());
-        sim.max_events = 100;
-        let stats = sim.run_until(&mut (), SimTime::MAX, |_, q, _, _| {
-            q.schedule_after(SimDuration::from_nanos(1), ());
-        });
-        assert_eq!(stats.events_processed, 100);
     }
 
     /// The structural-path counters observe the paths the dedicated

@@ -87,6 +87,62 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
+    /// The same differential test with explicit scheduling stamps (any
+    /// stamp up to the event's own time, earlier or later than the
+    /// clock): pops follow a total `(time, stamp, insertion)` sort.
+    #[test]
+    fn stamped_queue_matches_reference_model(
+        ops in proptest::collection::vec((0u8..4, 0u64..u64::MAX, 0u64..u64::MAX), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        // Reference: (time, stamp, seq) keyed min-list.
+        let mut model: Vec<(u64, u64, u64)> = Vec::new();
+        let mut next_seq = 0u64;
+        let mut now = 0u64;
+        let mut popped = Vec::new();
+        let mut expected = Vec::new();
+        for &(kind, r, st) in &ops {
+            match kind {
+                0..=2 => {
+                    let delay = match kind {
+                        0 => r % 4,
+                        1 => 500 + r % 3_000,
+                        _ => r % 2_000_000,
+                    };
+                    let t = now + delay;
+                    let stamp = st % (t + 1);
+                    q.schedule_stamped(SimTime::from_nanos(t), SimTime::from_nanos(stamp), next_seq);
+                    model.push((t, stamp, next_seq));
+                    next_seq += 1;
+                }
+                _ => {
+                    let got = q.pop();
+                    let want = model
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &k)| k)
+                        .map(|(i, _)| i);
+                    match (got, want) {
+                        (None, None) => {}
+                        (Some((t, p)), Some(i)) => {
+                            let (mt, _, mp) = model.swap_remove(i);
+                            now = mt;
+                            popped.push((t.as_nanos(), p));
+                            expected.push((mt, mp));
+                        }
+                        (g, w) => prop_assert!(false, "pop mismatch: {g:?} vs model {w:?}"),
+                    }
+                }
+            }
+        }
+        while let Some((t, p)) = q.pop() {
+            popped.push((t.as_nanos(), p));
+        }
+        model.sort_unstable();
+        expected.extend(model.iter().map(|&(t, _, p)| (t, p)));
+        prop_assert_eq!(popped, expected);
+    }
+
     /// The clock equals the timestamp of the last popped event, always.
     #[test]
     fn clock_tracks_pops(times in proptest::collection::vec(0u64..1_000, 1..100)) {

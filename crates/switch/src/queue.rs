@@ -107,16 +107,16 @@ mod tests {
     use xds_net::{PortNo, TrafficClass};
     use xds_sim::SimTime;
 
-    fn pkt(id: u64, bytes: u32) -> Packet {
+    /// `seq` doubles as the packet's FIFO marker.
+    fn pkt(seq: u32, bytes: u32) -> Packet {
         Packet::new(
-            id,
             0,
             PortNo(0),
             PortNo(1),
             bytes,
             TrafficClass::Bulk,
             SimTime::ZERO,
-            0,
+            seq,
         )
     }
 
@@ -125,8 +125,8 @@ mod tests {
         let mut q = DropTailQueue::new(10_000, 10);
         q.push(pkt(1, 100)).unwrap();
         q.push(pkt(2, 100)).unwrap();
-        assert_eq!(q.pop().unwrap().id.0, 1);
-        assert_eq!(q.pop().unwrap().id.0, 2);
+        assert_eq!(q.pop().unwrap().seq, 1);
+        assert_eq!(q.pop().unwrap().seq, 2);
         assert!(q.pop().is_none());
     }
 
@@ -136,7 +136,7 @@ mod tests {
         q.push(pkt(1, 100)).unwrap();
         q.push(pkt(2, 100)).unwrap();
         let rejected = q.push(pkt(3, 100)).unwrap_err();
-        assert_eq!(rejected.id.0, 3);
+        assert_eq!(rejected.seq, 3);
         assert_eq!(q.drops(), (1, 100));
         assert_eq!(q.bytes(), 200);
         // After draining, capacity is available again.
@@ -165,7 +165,7 @@ mod tests {
             match q.push(pkt(i, 150)) {
                 Ok(()) => accepted += 150,
                 Err(p) => {
-                    assert_eq!(p.id.0, i, "the rejected packet comes back intact");
+                    assert_eq!(p.seq, i, "the rejected packet comes back intact");
                     rejected += 150;
                 }
             }
@@ -197,7 +197,7 @@ mod tests {
     fn peek_does_not_consume() {
         let mut q = DropTailQueue::new(1000, 10);
         q.push(pkt(7, 10)).unwrap();
-        assert_eq!(q.peek().unwrap().id.0, 7);
+        assert_eq!(q.peek().unwrap().seq, 7);
         assert_eq!(q.len(), 1);
     }
 

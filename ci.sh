@@ -28,6 +28,26 @@ xlint_waivers=$(printf '%s\n' "$xlint_out" | sed -n 's/^waivers: \([0-9][0-9]*\)
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> experiment binaries and examples (every one must run and exit 0)"
+# Compiling them proves nothing about run time: a panic, or fig2_pipeline's
+# failed-invariant exit, must fail CI. Output is shown only on failure.
+for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/exp_*.rs; do
+    bin=$(basename "$src" .rs)
+    out=$(cargo run --release -q -p xds-bench --bin "$bin" 2>&1) || {
+        printf '%s\n' "$out"
+        echo "ci.sh: experiment binary $bin exited nonzero"
+        exit 1
+    }
+done
+for src in examples/*.rs; do
+    ex=$(basename "$src" .rs)
+    out=$(cargo run --release -q --example "$ex" 2>&1) || {
+        printf '%s\n' "$out"
+        echo "ci.sh: example $ex exited nonzero"
+        exit 1
+    }
+done
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks of the substrates the simulator's
-//! throughput depends on: event queue, histogram recording, classifier
-//! lookups, and a small end-to-end run (events/second of the whole
-//! framework).
+//! throughput depends on: event queue, histogram recording, and a small
+//! end-to-end run (events/second of the whole framework).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -13,10 +12,6 @@ use xds_core::runtime::SimBuilder;
 use xds_core::sched::IslipScheduler;
 use xds_hw::{HwAlgo, HwSchedulerModel};
 use xds_metrics::LatencyHistogram;
-use xds_net::classify::{Action, LpmTable, Rule, RuleMatch, RuleTable};
-use xds_net::fivetuple::build_udp_frame;
-use xds_net::wire::Ipv4Addr;
-use xds_net::{FiveTuple, TrafficClass};
 use xds_sim::{BitRate, EventQueue, SimDuration, SimRng, SimTime};
 use xds_traffic::{FlowGenerator, FlowSizeDist, TrafficMatrix};
 
@@ -57,43 +52,6 @@ fn bench_histogram(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_classifier(c: &mut Criterion) {
-    let mut group = c.benchmark_group("classification");
-    // Parse + TCAM + LPM per frame, like the FPGA lookup stage.
-    let mut rules = RuleTable::new(Action::classify(TrafficClass::Short));
-    for p in 0..16 {
-        rules.insert(Rule {
-            priority: p,
-            matcher: RuleMatch {
-                dst_port: Some((5000 + p as u16 * 10, 5009 + p as u16 * 10)),
-                ..RuleMatch::default()
-            },
-            action: Action::classify(TrafficClass::Interactive),
-        });
-    }
-    let mut lpm: LpmTable<u16> = LpmTable::new();
-    for host in 0..256u16 {
-        lpm.insert(Ipv4Addr::for_host(host), 32, host);
-    }
-    let frames: Vec<Vec<u8>> = (0..64u16)
-        .map(|i| build_udp_frame(i, (i + 7) % 64, 1000 + i, 5004, b"payload"))
-        .collect();
-    group.throughput(Throughput::Elements(frames.len() as u64));
-    group.bench_function("parse_tcam_lpm_64frames", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for f in &frames {
-                let t = FiveTuple::from_frame(f).expect("valid frame");
-                let a = rules.lookup(&t);
-                acc += lpm.lookup(t.dst).copied().unwrap_or(0) as usize
-                    + a.class.is_circuit_candidate() as usize;
-            }
-            black_box(acc)
-        });
-    });
-    group.finish();
-}
-
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end");
     group.sample_size(10);
@@ -129,7 +87,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_histogram,
-    bench_classifier,
     bench_end_to_end
 );
 criterion_main!(benches);

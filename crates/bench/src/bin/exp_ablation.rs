@@ -1,4 +1,5 @@
-//! **E10 (ablations)**: the design choices DESIGN.md calls out, isolated.
+//! **E10 (ablations)**: three design choices of the scheduling logic,
+//! isolated.
 //!
 //! 1. **iSLIP iteration count** — how many request–grant–accept rounds
 //!    does the hardware need? (Each costs `2·⌈log₂n⌉+2` cycles.)

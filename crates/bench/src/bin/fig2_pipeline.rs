@@ -4,11 +4,14 @@
 //! VOQ → requests), scheduling logic (demand estimation → algorithm →
 //! grants), switching logic (OCS configured *before* grants execute; EPS
 //! carries residuals). Prints the hardware latency budget per partition
-//! and proves the pipeline invariants on a live run.
+//! and proves the pipeline invariants on a live run; exits nonzero when
+//! one fails.
 //!
 //! ```sh
 //! cargo run --release -p xds-bench --bin fig2_pipeline
 //! ```
+
+use std::process::ExitCode;
 
 use xds_bench::{banner, emit, standard_fast};
 use xds_core::demand::MirrorEstimator;
@@ -21,7 +24,7 @@ use xds_net::PortNo;
 use xds_sim::{BitRate, SimDuration, SimRng, SimTime};
 use xds_traffic::{CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
 
-fn main() {
+fn main() -> ExitCode {
     let n = 8;
     banner(
         "F2",
@@ -123,12 +126,11 @@ fn main() {
         ]);
     }
     emit("fig2_invariants", &inv);
-    println!(
-        "figure-2 pipeline: {}",
-        if all_ok {
-            "ALL INVARIANTS HOLD"
-        } else {
-            "INVARIANT VIOLATION — investigate!"
-        }
-    );
+    if all_ok {
+        println!("figure-2 pipeline: ALL INVARIANTS HOLD");
+        ExitCode::SUCCESS
+    } else {
+        println!("figure-2 pipeline: INVARIANT VIOLATION — investigate!");
+        ExitCode::FAILURE
+    }
 }

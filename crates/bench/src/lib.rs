@@ -1,10 +1,25 @@
 //! # xds-bench — the experiment harness
 //!
-//! One binary per figure/claim of the paper (see DESIGN.md §4 for the
-//! index). Each binary regenerates its table on stdout and saves
-//! CSV/JSON under `results/`. The heavy lifting — scenario description,
-//! grid enumeration and the parallel sweep — lives in
-//! [`xds_scenario`]; this crate keeps only presentation helpers:
+//! One binary per figure/claim of the paper. Each binary regenerates its
+//! table on stdout and saves CSV/JSON under `results/`:
+//!
+//! | binary | id | paper claim |
+//! |---|---|---|
+//! | `fig1_buffering` | F1 | §2: a 64×64 10 Gb/s switch needs GB of buffering at ms switching, KB at ns |
+//! | `fig2_pipeline` | F2 | Fig. 2: processing, scheduling and switching logic form one pipeline |
+//! | `exp_sched_latency` | E3 | §2: slow schedulers waste network resources |
+//! | `exp_voip_jitter` | E4 | §2: slow scheduling raises VOIP/gaming latency and jitter |
+//! | `exp_algorithms` | E5 | §3: the framework lets new hybrid schedulers be compared |
+//! | `exp_demand` | E6 | §2: hardware schedulers estimate demand quickly |
+//! | `exp_scalability` | E7 | §3: hardware scheduling stays fast, and fits the SUME, as ports grow |
+//! | `exp_sync` | E8 | §2: software scheduling needs tight host–switch sync |
+//! | `exp_hybrid` | E9 | §1: the OCS serves long bursts, the EPS the rest |
+//! | `exp_ablation` | E10 | ablations: iSLIP iterations, decomposition budget, epoch length |
+//!
+//! The `sweep` binary is the scenario library's command-line front end.
+//! The heavy lifting — scenario description, grid enumeration and the
+//! parallel sweep — lives in [`xds_scenario`]; this crate keeps only
+//! presentation helpers:
 //!
 //! * [`parallel_map`] — re-exported order-preserving parallel runner
 //!   (the simulations are single-threaded and deterministic; sweeps fan
@@ -82,7 +97,8 @@ pub fn emit_sweep_with(
     println!();
 }
 
-/// Prints an experiment banner with its DESIGN.md id.
+/// Prints an experiment banner with its id from the crate-level index
+/// (F1, F2, E3–E10).
 pub fn banner(id: &str, title: &str, what: &str) {
     println!("================================================================");
     println!("{id}: {title}");

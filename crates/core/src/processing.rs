@@ -6,10 +6,11 @@
 //! scheduling requests and transmits packets upon receiving transmission
 //! grants."
 //!
-//! Classification itself lives in `xds-net` ([`xds_net::RuleTable`]); by
-//! the time a packet reaches the VOQ bank it carries its class and egress.
-//! This module owns the N×N queues, the request generation (dirty-pair
-//! tracking), and grant execution (budgeted dequeue).
+//! No look-up runs here: a flow's class is set when the flow is generated
+//! (from the flow-size threshold), so by the time a packet reaches the VOQ
+//! bank it carries its class and egress. This module owns the N×N
+//! queues, the request generation (dirty-pair tracking), and grant
+//! execution (budgeted dequeue).
 
 use xds_net::Packet;
 use xds_sim::SimTime;

@@ -7,7 +7,7 @@
 //! exists; the slot length is set so the smallest matched entry is fully
 //! served; what remains after the configuration budget rides the EPS.
 //!
-//! Divergence from the published algorithm (documented per DESIGN.md):
+//! Divergence from the published algorithm:
 //! Solstice first *stuffs* the matrix to make perfect matchings exist; we
 //! accept maximal (possibly partial) matchings instead — unmatched ports
 //! simply idle during the slot, which preserves the big-flows-first

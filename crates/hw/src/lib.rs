@@ -8,9 +8,9 @@
 //! > computation and rapid communication of computed schedules to the
 //! > switch."
 //!
-//! We cannot ship a NetFPGA-SUME bitstream in a Rust crate; per DESIGN.md's
-//! substitution table this crate models the *timing* and *capacity* of both
-//! placements instead:
+//! We cannot ship a NetFPGA-SUME bitstream in a Rust crate, so the FPGA is
+//! replaced by a model: this crate models the *timing* and *capacity* of
+//! both placements:
 //!
 //! * [`ClockDomain`] / [`Pipeline`] — cycle-accurate latency of a pipelined
 //!   hardware scheduler;

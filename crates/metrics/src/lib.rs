@@ -10,10 +10,11 @@
 //!   the metric the paper's VOIP claim (§2) is about;
 //! * [`FctTracker`] — flow-completion-time tracking with mice / medium /
 //!   elephant size classes;
-//! * [`Throughput`] / [`Utilization`] — byte counters and busy-time ratios;
 //! * [`CounterSet`] — the deterministic internal-counters registry the
 //!   runtime's flight recorder reports through;
 //! * [`TimeSeries`] — decimating series for occupancy-over-time plots;
+//! * [`EpochSeries`] — one row of scheduler telemetry per epoch, for the
+//!   `timeseries` instrumentation profile;
 //! * [`Table`] — the text/Markdown/CSV renderer used by every bench binary
 //!   so the regenerated "figures" are directly comparable.
 
@@ -31,7 +32,7 @@ pub mod series;
 pub use compose::{
     exp_wait_quantile, percentile_of, record_wait_population, relative_error, QUANTILE_KNOTS,
 };
-pub use counters::{CounterKind, CounterSet, Throughput, Utilization};
+pub use counters::{CounterKind, CounterSet};
 pub use fasthash::{FastHashBuilder, FastHashMap, FastHasher};
 pub use fct::{FctStats, FctTracker, SizeClass};
 pub use hist::LatencyHistogram;

@@ -3,8 +3,7 @@
 //! Scheduler behaviour depends only on packet *metadata* (size, ports,
 //! class, timestamps), so the simulator moves descriptors rather than
 //! payload bytes — the standard technique for packet-level switch
-//! simulation at millions of packets per run. The wire-level view needed by
-//! classifier tests lives in [`crate::wire`].
+//! simulation at millions of packets per run.
 
 use xds_sim::SimTime;
 
@@ -24,7 +23,7 @@ pub struct Packet {
     pub dst: PortNo,
     /// Wire size in bytes, headers included.
     pub bytes: u32,
-    /// Class assigned by the classifier.
+    /// Traffic class, fixed where the traffic is generated.
     pub class: TrafficClass,
     /// When the application produced the packet.
     pub created: SimTime,

@@ -27,7 +27,8 @@ impl fmt::Display for PortNo {
     }
 }
 
-/// Traffic class assigned by the classifier; drives the EPS/OCS mapping.
+/// Traffic class, fixed where the traffic is generated; drives the EPS/OCS
+/// mapping.
 ///
 /// The paper: "the OCS is used to serve long bursts of traffic and the EPS
 /// is used to serve the remaining traffic and short bursts."
@@ -67,41 +68,6 @@ impl TrafficClass {
     }
 }
 
-/// IP protocol numbers the classifier understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IpProtocol {
-    /// TCP (6).
-    Tcp,
-    /// UDP (17).
-    Udp,
-    /// ICMP (1).
-    Icmp,
-    /// Anything else, by protocol number.
-    Other(u8),
-}
-
-impl IpProtocol {
-    /// Parses from the IPv4 protocol field.
-    pub fn from_byte(b: u8) -> IpProtocol {
-        match b {
-            1 => IpProtocol::Icmp,
-            6 => IpProtocol::Tcp,
-            17 => IpProtocol::Udp,
-            other => IpProtocol::Other(other),
-        }
-    }
-
-    /// The wire value.
-    pub fn to_byte(self) -> u8 {
-        match self {
-            IpProtocol::Icmp => 1,
-            IpProtocol::Tcp => 6,
-            IpProtocol::Udp => 17,
-            IpProtocol::Other(b) => b,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,14 +91,5 @@ mod tests {
         assert!(!TrafficClass::Interactive.is_circuit_candidate());
         assert!(!TrafficClass::Short.is_circuit_candidate());
         assert_eq!(TrafficClass::ALL[0], TrafficClass::Interactive);
-    }
-
-    #[test]
-    fn protocol_bytes_round_trip() {
-        for b in [0u8, 1, 6, 17, 89, 255] {
-            assert_eq!(IpProtocol::from_byte(b).to_byte(), b);
-        }
-        assert_eq!(IpProtocol::from_byte(6), IpProtocol::Tcp);
-        assert_eq!(IpProtocol::from_byte(17), IpProtocol::Udp);
     }
 }

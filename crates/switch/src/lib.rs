@@ -1,12 +1,13 @@
 //! # xds-switch — data-plane models: links, queues, EPS, OCS
 //!
-//! The *switching logic* partition of the paper's Figure 2, as laptop-scale
-//! models (per DESIGN.md's substitution table):
+//! The *switching logic* partition of the paper's Figure 2. The physical
+//! switches are replaced by laptop-scale timing models:
 //!
 //! * [`Permutation`] — a (partial) input→output matching, the unit of
 //!   circuit configuration the scheduler hands to the OCS;
 //! * [`Link`] — rate + propagation delay;
-//! * [`DropTailQueue`] — bounded FIFO used for VOQs and host queues;
+//! * [`DropTailQueue`] — bounded drop-tail FIFO (the runtime's VOQs and
+//!   host queues do not use it: they live in `xds_core`'s packet pool);
 //! * [`Eps`] — an output-queued electrical packet switch carrying the
 //!   "residual traffic and short bursts";
 //! * [`Ocs`] — an optical circuit switch with a configurable reconfiguration

@@ -1,4 +1,5 @@
-//! Bounded drop-tail FIFO used for VOQs and host staging queues.
+//! Bounded drop-tail FIFO. The runtime's VOQs and host staging queues do
+//! not use it: they live in `xds_core`'s packet pool.
 
 use std::collections::VecDeque;
 

@@ -1,10 +1,9 @@
-//! The flow generator: arrival process × traffic matrix × size
+//! The flow generator: Poisson arrivals × traffic matrix × size
 //! distribution, calibrated to an offered load.
 
 use xds_net::{PortNo, TrafficClass};
-use xds_sim::{BitRate, SimRng, SimTime};
+use xds_sim::{BitRate, SimDuration, SimRng, SimTime};
 
-use crate::arrivals::ArrivalProcess;
 use crate::matrix::TrafficMatrix;
 use crate::size_dist::FlowSizeDist;
 
@@ -30,7 +29,10 @@ pub struct FlowSpec {
 pub struct FlowGenerator {
     matrix: TrafficMatrix,
     sizes: FlowSizeDist,
-    arrivals: ArrivalProcess,
+    /// Mean gap of the Poisson flow-arrival process, rounded to whole
+    /// nanoseconds: every gap draw scales this rounded value, so the pinned
+    /// traces depend on the rounding.
+    mean_gap: SimDuration,
     rng: SimRng,
     next_id: u64,
     clock: SimTime,
@@ -46,8 +48,8 @@ impl FlowGenerator {
 
     /// Creates a generator producing `load` × aggregate capacity of
     /// offered bytes: with `n` ports at `line_rate` each, the aggregate
-    /// byte arrival rate is `load · n · line_rate/8`, converted to a flow
-    /// arrival rate via the size distribution's mean.
+    /// byte arrival rate is `load · n · line_rate/8`, converted to the
+    /// Poisson flow-arrival rate via the size distribution's mean.
     pub fn with_load(
         matrix: TrafficMatrix,
         sizes: FlowSizeDist,
@@ -58,25 +60,14 @@ impl FlowGenerator {
         assert!(load > 0.0 && load.is_finite(), "load must be positive");
         let agg_bytes_per_sec = load * matrix.n() as f64 * line_rate.bytes_per_sec() as f64;
         let flows_per_sec = agg_bytes_per_sec / sizes.mean_bytes();
-        Self::with_arrivals(
-            matrix,
-            sizes,
-            ArrivalProcess::poisson_rate(flows_per_sec),
-            rng,
-        )
-    }
-
-    /// Creates a generator with an explicit arrival process.
-    pub fn with_arrivals(
-        matrix: TrafficMatrix,
-        sizes: FlowSizeDist,
-        arrivals: ArrivalProcess,
-        rng: SimRng,
-    ) -> Self {
+        assert!(
+            flows_per_sec.is_finite() && flows_per_sec > 0.0,
+            "arrival rate must be positive"
+        );
         FlowGenerator {
             matrix,
             sizes,
-            arrivals,
+            mean_gap: SimDuration::from_secs_f64(1.0 / flows_per_sec),
             rng,
             next_id: 0,
             clock: SimTime::ZERO,
@@ -103,8 +94,8 @@ impl FlowGenerator {
 
     /// Generates the next flow; `start` times are non-decreasing.
     pub fn next_flow(&mut self) -> FlowSpec {
-        let gap = self.arrivals.next_gap(&mut self.rng);
-        self.clock += gap;
+        let gap = self.rng.exp(self.mean_gap.as_secs_f64());
+        self.clock += SimDuration::from_secs_f64(gap);
         let (src, dst) = self.matrix.sample_pair(&mut self.rng);
         let bytes = self.sizes.sample_bytes(&mut self.rng);
         let id = self.next_id;
@@ -141,7 +132,6 @@ impl FlowGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xds_sim::SimDuration;
 
     fn generator(load: f64) -> FlowGenerator {
         FlowGenerator::with_load(
@@ -164,6 +154,29 @@ mod tests {
         assert!(
             (offered_gbps - 40.0).abs() / 40.0 < 0.05,
             "offered {offered_gbps} Gb/s"
+        );
+    }
+
+    #[test]
+    fn poisson_rate_matches_over_many_samples() {
+        // 8 ports × 10 Gb/s × 0.5 load / 10 kB flows = 500k flows/s.
+        let mut g = generator(0.5);
+        let n = 100_000;
+        let last = (0..n).map(|_| g.next_flow().start).last().unwrap();
+        let rate = n as f64 / last.as_secs_f64();
+        assert!((rate - 500_000.0).abs() / 500_000.0 < 0.02, "rate {rate}");
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive")]
+    fn zero_rate_rejected() {
+        // A zero mean flow size asks for an infinite flow rate.
+        FlowGenerator::with_load(
+            TrafficMatrix::uniform(8),
+            FlowSizeDist::Fixed(0),
+            0.5,
+            BitRate::GBPS_10,
+            SimRng::new(1),
         );
     }
 

@@ -9,11 +9,11 @@
 //! * [`size_dist`] — heavy-tailed flow-size distributions, including
 //!   empirical CDFs shaped after the published web-search (DCTCP) and
 //!   data-mining (VL2) workloads;
-//! * [`arrivals`] — Poisson and bursty ON/OFF arrival processes;
 //! * [`matrix`] — traffic matrices: uniform, permutation, hotspot, Zipf,
 //!   incast;
-//! * [`flow`] — the flow generator combining the three, calibrated to an
-//!   offered load relative to aggregate line rate;
+//! * [`flow`] — the flow generator: Poisson arrivals of flows drawn from a
+//!   matrix and a size distribution, calibrated to an offered load relative
+//!   to aggregate line rate;
 //! * [`packetize`] — MTU segmentation;
 //! * [`apps`] — constant-bit-rate interactive applications (VOIP, gaming).
 //!
@@ -22,14 +22,12 @@
 #![warn(missing_docs)]
 
 pub mod apps;
-pub mod arrivals;
 pub mod flow;
 pub mod matrix;
 pub mod packetize;
 pub mod size_dist;
 
 pub use apps::CbrApp;
-pub use arrivals::ArrivalProcess;
 pub use flow::{FlowGenerator, FlowSpec};
 pub use matrix::TrafficMatrix;
 pub use packetize::packet_sizes;

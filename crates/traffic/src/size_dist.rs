@@ -9,9 +9,9 @@
 //!   half the flows are under ~1 KB yet most *bytes* live in multi-MB to
 //!   GB background flows.
 //!
-//! These are intentionally *shapes*, not exact reprints: DESIGN.md records
-//! this substitution (synthetic equivalents preserving the mice/elephant
-//! byte split that drives EPS/OCS partitioning).
+//! These are intentionally *shapes*, not exact reprints: synthetic CDFs
+//! that keep the published mice/elephant byte split, which is what drives
+//! EPS/OCS partitioning.
 
 use xds_sim::{Dist, EmpiricalCdf, Sample, SimRng};
 

@@ -7,16 +7,17 @@
 //! keep up with fast optical switching (nanoseconds), forcing host-side
 //! buffering, latency, jitter and synchronization complexity — and that
 //! the way forward is a framework for rapidly prototyping *hardware*
-//! schedulers. This workspace is that framework, in Rust, with the
-//! NetFPGA/OCS substrates replaced by validated timing models (see
-//! DESIGN.md for the substitution table).
+//! schedulers. This workspace is that framework, in Rust. The NetFPGA
+//! scheduler and the optical switch are not emulated: both are replaced by
+//! timing models (cycle-cost pipelines for the FPGA, a dark
+//! reconfiguration window for the OCS).
 //!
 //! ## Crate map
 //!
 //! | crate | role |
 //! |---|---|
 //! | [`sim`] | deterministic discrete-event kernel (ns clock, seeded RNG) |
-//! | [`net`] | packets, wire formats, TCAM/LPM classification |
+//! | [`net`] | packet descriptors, port numbers, traffic classes |
 //! | [`traffic`] | data-center workloads (heavy-tailed flows, VOIP apps) |
 //! | [`switch`] | EPS, OCS (dark reconfiguration windows), buffer tracking |
 //! | [`hw`] | hardware/software scheduler timing, sync, FPGA resources |
@@ -86,14 +87,14 @@ pub mod prelude {
         ClockDomain, HwAlgo, HwSchedulerModel, Pipeline, Stage, SwSchedulerModel, SyncModel,
     };
     pub use xds_metrics::{fmt_bytes, fmt_f64, LatencyHistogram, SizeClass, Table};
-    pub use xds_net::{FiveTuple, IpProtocol, Packet, PortNo, TrafficClass};
+    pub use xds_net::{Packet, PortNo, TrafficClass};
     pub use xds_scenario::{
         library as scenario_library, AppMix, EstimatorKind, PlacementKind, ScenarioSpec,
         SchedulerKind, SweepExecutor, SweepGrid, TrafficPattern,
     };
     pub use xds_sim::{BitRate, Dist, SimDuration, SimRng, SimTime};
     pub use xds_switch::{Eps, Link, Ocs, Permutation, Site};
-    pub use xds_traffic::{ArrivalProcess, CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
+    pub use xds_traffic::{CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) on the core data structures and
-//! invariants: permutations/matchings, schedules, histograms, LPM,
-//! checksums, traffic matrices and the demand pipeline.
+//! invariants: permutations/matchings, schedules, histograms, traffic
+//! matrices and the demand pipeline.
 
 use proptest::prelude::*;
 use xdsched::core::demand::DemandMatrix;
@@ -9,8 +9,6 @@ use xdsched::core::sched::{
     SolsticeScheduler, WavefrontScheduler,
 };
 use xdsched::metrics::LatencyHistogram;
-use xdsched::net::classify::LpmTable;
-use xdsched::net::wire::{checksum, Ipv4Addr};
 use xdsched::prelude::*;
 
 fn ctx() -> ScheduleCtx {
@@ -136,71 +134,6 @@ proptest! {
         for q in [0.1, 0.5, 0.9] {
             prop_assert_eq!(ha.quantile(q), hc.quantile(q));
         }
-    }
-
-    #[test]
-    fn lpm_matches_linear_reference(entries in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..40),
-                                    probes in proptest::collection::vec(any::<u32>(), 0..40)) {
-        let mut table = LpmTable::new();
-        for (i, &(addr, len)) in entries.iter().enumerate() {
-            table.insert(Ipv4Addr::from_u32(addr), len, i);
-        }
-        let mask = |len: u8| -> u32 {
-            match len {
-                0 => 0,
-                32 => u32::MAX,
-                _ => !(u32::MAX >> len),
-            }
-        };
-        for &probe in &probes {
-            // Linear reference: longest matching prefix, later insertions
-            // replace earlier identical prefixes.
-            let mut best: Option<(u8, usize)> = None;
-            for (i, &(addr, len)) in entries.iter().enumerate() {
-                if addr & mask(len) == probe & mask(len) {
-                    // Same (masked prefix, len) inserted later replaces.
-                    let replace = match best {
-                        None => true,
-                        Some((blen, bi)) => {
-                            len > blen
-                                || (len == blen
-                                    && entries[bi].0 & mask(blen) == addr & mask(len))
-                        }
-                    };
-                    if replace {
-                        best = Some((len, i));
-                    }
-                }
-            }
-            let got = table.lookup(Ipv4Addr::from_u32(probe)).copied();
-            prop_assert_eq!(got.map(|_| ()), best.map(|_| ()), "presence mismatch for {:#x}", probe);
-            if let (Some(g), Some((blen, _))) = (got, best) {
-                // The trie returns *some* entry with the longest length;
-                // verify the prefix length matches the reference.
-                let (gaddr, glen) = entries[g];
-                prop_assert_eq!(glen, blen);
-                prop_assert_eq!(gaddr & mask(glen), probe & mask(glen));
-            }
-        }
-    }
-
-    #[test]
-    fn internet_checksum_verifies_and_detects(words in proptest::collection::vec(any::<u16>(), 1..32),
-                                              flip in 0usize..64) {
-        // Even-length data (checksummed messages are word-aligned; an odd
-        // tail would shift the appended checksum's word boundary).
-        let data: Vec<u8> = words.iter().flat_map(|w| w.to_be_bytes()).collect();
-        // Append the checksum; the summed whole must verify.
-        let c = checksum::checksum(&data);
-        let mut msg = data.clone();
-        msg.extend_from_slice(&c.to_be_bytes());
-        prop_assert_eq!(checksum::sum(&msg), 0xffff);
-        // Flip one byte: verification must fail (ones-complement detects
-        // all single-byte errors).
-        let at = flip % data.len();
-        let mut bad = msg.clone();
-        bad[at] ^= 0x5a;
-        prop_assert_ne!(checksum::sum(&bad), 0xffff);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   applies late, or not at all (the stale permutation stays up for the
 //!   slot and every granted pair fails over to the EPS).
 //! * **scheduler stall** ([`StallSpec`]) — an epoch's decision arrives
-//!   k epochs late; the fabric coasts on the previous schedule.
+//!   k epochs late. The previous schedule's slots cover one epoch, so
+//!   the fabric idles until the late decision lands.
 //!
 //! Degradation is observed, not just survived: `fault_*` counters in
 //! [`xds_metrics::CounterSet`], [`DropCause::LinkDark`] drop tallies and
@@ -59,8 +60,9 @@ pub struct MisfireSpec {
 }
 
 /// A scheduler stall process: with probability `prob` an epoch's decision
-/// arrives `epochs` epochs late and the fabric coasts on the previous
-/// schedule in the meantime.
+/// arrives `epochs` epochs late. The previous schedule's slots cover one
+/// epoch, so the fabric idles (grants nothing) until the late decision
+/// lands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StallSpec {
     /// Probability that any given epoch's decision stalls.

@@ -23,8 +23,6 @@ use crate::pool::{PacketPool, PktFifo};
 struct PairState {
     /// Cumulative bytes ever enqueued (for rate estimators).
     arrived_total: u64,
-    /// High-water mark of queued bytes.
-    peak_bytes: u64,
     /// The pair's packets, as an intrusive FIFO in the shared pool.
     fifo: PktFifo,
     queued: u64,
@@ -166,7 +164,6 @@ impl ProcessingLogic {
         let pair = &mut self.pairs[idx];
         pair.arrived_total += bytes;
         pair.queued += bytes;
-        pair.peak_bytes = pair.peak_bytes.max(pair.queued);
         self.total_queued += bytes;
         self.mark_dirty(idx);
         Ok(())
@@ -288,11 +285,6 @@ impl ProcessingLogic {
     /// `(dropped packets, dropped bytes)` from VOQ overflow.
     pub fn drops(&self) -> (u64, u64) {
         (self.drops, self.dropped_bytes)
-    }
-
-    /// Largest single-VOQ high-water mark in bytes.
-    pub fn peak_voq_bytes(&self) -> u64 {
-        self.pairs.iter().map(|p| p.peak_bytes).max().unwrap_or(0)
     }
 
     /// The backing pool's conservation counters, for tests and epoch
@@ -483,6 +475,5 @@ mod tests {
         assert_eq!(m.get(0, 1), 300);
         assert_eq!(m.get(2, 0), 300);
         assert_eq!(m.total(), 600);
-        assert_eq!(p.peak_voq_bytes(), 300);
     }
 }

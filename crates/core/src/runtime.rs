@@ -103,7 +103,9 @@ struct Host {
     q_inter: PktFifo,
     q_short: PktFifo,
     q_bulk: PktFifo,
-    /// Slow mode: per-destination bulk VOQs held in host memory.
+    /// Slow mode: per-destination bulk VOQs held in host memory. These
+    /// four vectors are n long under software placement and empty under
+    /// hardware placement, where no code path reads them.
     voq: Vec<PktFifo>,
     voq_bytes: Vec<u64>,
     /// Incremental sum of `voq_bytes` (O(1) ground-truth total).
@@ -115,16 +117,18 @@ struct Host {
 }
 
 impl Host {
-    fn new(n: usize) -> Self {
+    /// A host with `voqs` slow-mode VOQs: `n` under software placement,
+    /// 0 under hardware placement.
+    fn new(voqs: usize) -> Self {
         Host {
             q_inter: PktFifo::new(),
             q_short: PktFifo::new(),
             q_bulk: PktFifo::new(),
-            voq: (0..n).map(|_| PktFifo::new()).collect(),
-            voq_bytes: vec![0; n],
+            voq: (0..voqs).map(|_| PktFifo::new()).collect(),
+            voq_bytes: vec![0; voqs],
             voq_total: 0,
-            voq_arrived: vec![0; n],
-            voq_dirty: vec![false; n],
+            voq_arrived: vec![0; voqs],
+            voq_dirty: vec![false; voqs],
             pump_active: false,
             nic_busy_until: SimTime::ZERO,
             clock_offset_ns: 0,
@@ -557,7 +561,8 @@ impl SimBuilder {
         };
         // Hosts are built in global port order (the clock-offset draws
         // below fix that order); `run` hands each to its shard.
-        let mut hosts: Vec<Host> = (0..n).map(|_| Host::new(n)).collect();
+        let voqs = if is_hw { 0 } else { n };
+        let mut hosts: Vec<Host> = (0..n).map(|_| Host::new(voqs)).collect();
         if let Placement::Software { sync, .. } = &cfg.placement {
             let mut sync_rng = rng.fork();
             for h in &mut hosts {
@@ -1123,6 +1128,42 @@ mod tests {
             (15..=25).contains(&r.decisions),
             "expected ~20 stretched epochs, got {}",
             r.decisions
+        );
+    }
+
+    #[test]
+    fn stalled_decisions_idle_the_fabric() {
+        // A stalled decision lands k epochs late. The previous schedule's
+        // slots cover one epoch, so the fabric idles until the late
+        // decision lands: at most one reconfiguration per single-entry
+        // decision, and a third of the unstalled decisions at k = 3. A
+        // fabric that coasted on the previous schedule would reconfigure
+        // about three times per decision.
+        let n = 8;
+        let run = |plan: Option<FaultPlan>| {
+            SimBuilder::new(hw_cfg(n))
+                .workload(flows(n, 0.9, 43))
+                .scheduler(Box::new(IslipScheduler::new(n, 3)))
+                .estimator(Box::new(MirrorEstimator::new(n)))
+                .faults(plan)
+                .build()
+                .expect("test sim must build")
+                .run(SimTime::from_millis(5))
+        };
+        let base = run(None);
+        let stalled = run(Some(FaultPlan::none().with_stall(1.0, 3)));
+        assert!(
+            stalled.ocs.reconfigurations <= stalled.decisions,
+            "{} reconfigurations over {} decisions: the fabric coasted",
+            stalled.ocs.reconfigurations,
+            stalled.decisions
+        );
+        let ratio = base.decisions as f64 / stalled.decisions as f64;
+        assert!(
+            (2.7..=3.3).contains(&ratio),
+            "stalls should cut decisions to a third: {} vs {} unstalled",
+            stalled.decisions,
+            base.decisions
         );
     }
 

@@ -8,22 +8,96 @@
 //! grant is accepted in the first iteration** — the property that
 //! desynchronizes pointers and yields 100 % throughput under uniform
 //! traffic.
+//!
+//! # Bitset layout
+//!
+//! The scheduler computes on bits, one `u64` word per 64 ports, with bit
+//! `p % 64` of word `p / 64` standing for port `p` (bits past `n` in the
+//! last word stay zero):
+//!
+//! * `requests` — one row of `⌈n/64⌉` words per **output**, over the
+//!   inputs: bit `inp` of row `out` is set iff `demand(inp, out) > 0`.
+//!   It is rebuilt every decision from the demand's non-zero cells.
+//! * `grants` — one row per **input**, over the outputs: bit `out` of
+//!   row `inp` is set iff output `out` granted to `inp` in the current
+//!   iteration. Rows are zeroed again as the accept phase reads them.
+//! * `granted` — the inputs holding at least one grant this iteration.
+//! * `in_matched` / `out_matched` — the ports matched so far.
+//!
+//! # Why the choices equal the scalar scan's
+//!
+//! The scalar algorithm probes ports `ptr, ptr + 1, …, n − 1, 0, …,
+//! ptr − 1` and takes the first that qualifies. `next_from` visits the
+//! same order a word at a time: the pointer's word above the pointer,
+//! the later words, the earlier words, then the pointer's word below the
+//! pointer. Within a word `trailing_zeros` returns the lowest set bit,
+//! which is the first qualifying port in that order.
+//!
+//! * Grant: for output `out`, input `inp` qualifies iff it requests
+//!   `out` and is unmatched — the word `requests[out] & !in_matched`.
+//! * Accept: for input `inp`, output `out` qualifies iff it granted to
+//!   `inp` — the word `grants[inp]`. The scalar scan also checks that
+//!   `out` is unmatched; that always holds, because an output grants
+//!   only while unmatched and grants to one input only, so no other input
+//!   can match it within the same accept phase.
+//!
+//! The accept phase visits only the inputs that hold a grant, tracked in
+//! `granted`; the scalar scan finds no grant for the others. An
+//! iteration that grants nothing leaves every matched set and pointer as
+//! it was, so every later iteration would grant nothing too: the loop
+//! stops there.
 
 use xds_hw::HwAlgo;
 
 use crate::demand::DemandMatrix;
 
-use super::{request_matrix, single_entry_schedule, Schedule, ScheduleCtx, Scheduler};
+use super::{single_entry_schedule, Schedule, ScheduleCtx, Scheduler};
 use xds_switch::Permutation;
 
 /// iSLIP scheduler state: one grant pointer per output, one accept pointer
-/// per input.
+/// per input, and the bitset buffers every decision reuses.
 #[derive(Debug, Clone)]
 pub struct IslipScheduler {
     n: usize,
     iterations: u32,
     grant_ptr: Vec<usize>,
     accept_ptr: Vec<usize>,
+    /// `⌈n/64⌉`: words per bitset row.
+    words: usize,
+    /// Row `out` over the inputs requesting it (`n × words`).
+    requests: Vec<u64>,
+    /// Row `inp` over the outputs granting it this iteration (`n × words`).
+    grants: Vec<u64>,
+    /// Inputs holding at least one grant this iteration.
+    granted: Vec<u64>,
+    in_matched: Vec<u64>,
+    out_matched: Vec<u64>,
+}
+
+/// Bit `p % 64` of word `p / 64`.
+fn bit(p: usize) -> u64 {
+    1 << (p % 64)
+}
+
+/// The first set bit at or after `from` in the `words`-word bitset
+/// `word(0), …, word(words − 1)`, wrapping round to bit 0. Bits at `n`
+/// and above are always clear, so this wraps exactly as a scan over
+/// `from, …, n − 1, 0, …, from − 1` does.
+fn next_from(words: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
+    let (fw, fb) = (from / 64, from % 64);
+    let first = word(fw);
+    let high = first & (!0 << fb);
+    if high != 0 {
+        return Some(fw * 64 + high.trailing_zeros() as usize);
+    }
+    for w in (fw + 1..words).chain(0..fw) {
+        let x = word(w);
+        if x != 0 {
+            return Some(w * 64 + x.trailing_zeros() as usize);
+        }
+    }
+    let low = first & !(!0 << fb);
+    (low != 0).then(|| fw * 64 + low.trailing_zeros() as usize)
 }
 
 impl IslipScheduler {
@@ -31,56 +105,85 @@ impl IslipScheduler {
     /// count (McKeown: `log₂ n` iterations suffice in practice).
     pub fn new(n: usize, iterations: u32) -> Self {
         assert!(n > 0 && iterations > 0);
+        let words = n.div_ceil(64);
         IslipScheduler {
             n,
             iterations,
             grant_ptr: vec![0; n],
             accept_ptr: vec![0; n],
+            words,
+            requests: vec![0; n * words],
+            grants: vec![0; n * words],
+            granted: vec![0; words],
+            in_matched: vec![0; words],
+            out_matched: vec![0; words],
         }
     }
 
-    /// Computes one matching (exposed for unit tests).
-    #[allow(clippy::needless_range_loop)] // RR pointer phases read best with indices
+    /// Computes one matching from a row-major `n × n` request matrix
+    /// (`requests[inp * n + out]`; exposed for unit tests).
     pub fn matching(&mut self, requests: &[bool]) -> Permutation {
-        let n = self.n;
-        debug_assert_eq!(requests.len(), n * n);
-        let mut in_matched = vec![false; n];
-        let mut out_matched = vec![false; n];
-        let mut perm = Permutation::empty(n);
+        self.pack(requests, |&r| r);
+        self.run()
+    }
 
+    /// Rebuilds the `requests` rows from a row-major `n × n` matrix:
+    /// bit `inp` of row `out` is set iff `wants(cell(inp, out))`.
+    fn pack<T>(&mut self, cells: &[T], wants: impl Fn(&T) -> bool) {
+        assert_eq!(cells.len(), self.n * self.n, "request matrix size mismatch");
+        let words = self.words;
+        self.requests.fill(0);
+        for (inp, row) in cells.chunks_exact(self.n).enumerate() {
+            for (out, _) in row.iter().enumerate().filter(|(_, c)| wants(c)) {
+                self.requests[out * words + inp / 64] |= bit(inp);
+            }
+        }
+    }
+
+    /// The iterations over the packed `requests` rows.
+    fn run(&mut self) -> Permutation {
+        let (n, words) = (self.n, self.words);
+        let mut perm = Permutation::empty(n);
+        self.in_matched.fill(0);
+        self.out_matched.fill(0);
         for iter in 0..self.iterations {
-            // Grant phase: each unmatched output picks a requesting,
-            // unmatched input starting from its pointer.
-            let mut grant: Vec<Option<usize>> = vec![None; n];
+            // Grant phase: each unmatched output grants to the first
+            // requesting, unmatched input at or after its pointer.
+            let mut any = false;
             for out in 0..n {
-                if out_matched[out] {
+                if self.out_matched[out / 64] & bit(out) != 0 {
                     continue;
                 }
-                for k in 0..n {
-                    let inp = (self.grant_ptr[out] + k) % n;
-                    if !in_matched[inp] && requests[inp * n + out] {
-                        grant[out] = Some(inp);
-                        break;
-                    }
+                let row = &self.requests[out * words..(out + 1) * words];
+                let in_matched = &self.in_matched;
+                let free = |w: usize| row[w] & !in_matched[w];
+                if let Some(inp) = next_from(words, self.grant_ptr[out], free) {
+                    self.grants[inp * words + out / 64] |= bit(out);
+                    self.granted[inp / 64] |= bit(inp);
+                    any = true;
                 }
             }
-            // Accept phase: each unmatched input picks among its grants
-            // starting from its pointer.
-            for inp in 0..n {
-                if in_matched[inp] {
-                    continue;
-                }
-                for k in 0..n {
-                    let out = (self.accept_ptr[inp] + k) % n;
-                    if grant[out] == Some(inp) && !out_matched[out] {
-                        in_matched[inp] = true;
-                        out_matched[out] = true;
-                        perm.set(inp, out).expect("phases keep matching valid");
-                        if iter == 0 {
-                            self.grant_ptr[out] = (inp + 1) % n;
-                            self.accept_ptr[inp] = (out + 1) % n;
-                        }
-                        break;
+            if !any {
+                break;
+            }
+            // Accept phase: each granted input accepts the first grant at
+            // or after its pointer. Granted inputs are unmatched by
+            // construction.
+            for w in 0..words {
+                let mut word = std::mem::take(&mut self.granted[w]);
+                while word != 0 {
+                    let inp = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let row = &mut self.grants[inp * words..(inp + 1) * words];
+                    let out = next_from(words, self.accept_ptr[inp], |w| row[w])
+                        .expect("a granted input holds a grant");
+                    row.fill(0);
+                    self.in_matched[inp / 64] |= bit(inp);
+                    self.out_matched[out / 64] |= bit(out);
+                    perm.set(inp, out).expect("phases keep matching valid");
+                    if iter == 0 {
+                        self.grant_ptr[out] = (inp + 1) % n;
+                        self.accept_ptr[inp] = (out + 1) % n;
                     }
                 }
             }
@@ -102,8 +205,8 @@ impl Scheduler for IslipScheduler {
 
     fn schedule(&mut self, demand: &DemandMatrix, ctx: &ScheduleCtx) -> Schedule {
         assert_eq!(demand.n(), self.n, "demand size mismatch");
-        let requests = request_matrix(demand);
-        let perm = self.matching(&requests);
+        self.pack(demand.as_slice(), |&b| b > 0);
+        let perm = self.run();
         single_entry_schedule(perm, ctx)
     }
 }

@@ -182,8 +182,8 @@ pub trait Scheduler: Send {
     }
 }
 
-/// Builds the boolean request matrix (who has demand) used by the
-/// iterative matchers.
+/// Builds the boolean request matrix (who has demand) used by the RRM,
+/// PIM and wavefront matchers.
 pub(crate) fn request_matrix(demand: &DemandMatrix) -> Vec<bool> {
     let n = demand.n();
     let mut r = vec![false; n * n];

@@ -961,8 +961,9 @@ fn handle_coord(
                 .cfg
                 .placement
                 .decision_latency(st.cfg.n_ports, &mut st.rng);
-            // Scheduler stall: the decision arrives k epochs late and the
-            // fabric coasts on the previous schedule meanwhile.
+            // Scheduler stall: the decision arrives k epochs late. The
+            // previous schedule's slots cover one epoch, so the fabric
+            // idles until this decision lands.
             if let Some(fs) = &mut st.faults {
                 if let Some(extra) = fs.draw_stall(st.cfg.epoch) {
                     d += extra;

@@ -5,9 +5,7 @@
 //! sweep run <scenario>[,<scenario>…]|all [options]
 //! sweep timeseries <scenario>[,<scenario>…]|all [options]
 //! sweep trace <scenario>[,<scenario>…]|all [options]
-//! sweep bench [--smoke] [--baseline file.json] [--out file.json] [--date YYYY-MM-DD]
-//!             [--repeat N] [--profile full|lean] [--fidelity exact|estimate]
-//!             [--shards k] [--point-timeout secs]
+//! sweep bench [--smoke] [--shards k] [--out file.json]
 //! sweep validate-estimates [--smoke] [--out name] [--point-timeout secs]
 //!
 //! options (run / timeseries / trace):
@@ -61,33 +59,20 @@
 //! it never reaches into simulated time, so points that finish within
 //! budget produce byte-identical artifacts with or without the flag.
 //!
-//! `sweep bench` runs the pinned perf-baseline subset (see
-//! [`xds_bench::bench`]) sequentially on one thread, prints wall-clock and
-//! events/sec per point, and writes `BENCH_<date>.json`; with
-//! `--shards k`, every point of the subset is forced to `k` shards
-//! (point names are unchanged, and events/bytes are shard-invariant, so
-//! the artifact still matches historical baselines point-for-point); with
-//! `--baseline`, per-point and aggregate speedups against a previous
-//! artifact are embedded. `--repeat N` runs every point N times and keeps
-//! the fastest (the documented measurement method on a noisy host; the
-//! artifact records `repeats`); with `--point-timeout`, a bench point
-//! that overruns the per-point wall-clock budget aborts the bench with
-//! an error naming it (bench artifacts must be complete to be
-//! baseline-comparable, so there is no partial-artifact mode). Bench points default to the `lean`
-//! instrumentation profile — events and delivered bytes are identical to
-//! `full` (enforced by the instrument-equivalence test), so the artifact
-//! stays comparable to historical baselines while excluding observation
-//! cost from the measurement; the artifact records `profile`. `--smoke`
-//! is the CI liveness mode: ~20× shorter horizons, output under
-//! `results/`.
+//! `sweep bench` is the CI liveness pass over the pinned bench catalogue
+//! (see [`xds_bench::bench`]): it runs every point once, sequentially on
+//! one thread, under the `lean` profile at the exact tier, prints events
+//! and wall-clock per point, and writes `results/bench_<mode>.json` (or
+//! `--out`). With `--shards k`, every point is forced to `k` shards;
+//! point names are unchanged, and events and bytes must not move.
+//! `--smoke` shrinks every horizon ~20×. Perf is measured by the
+//! repository benchmark under `perfbench/`, not here.
 //!
 //! The `--fidelity` axis selects the simulation tier per point: `exact`
 //! (the event-driven core, the default everywhere) or `estimate` (the
 //! decomposed per-link fast tier in `xds-estimate`). Estimate rows are
 //! column-compatible with exact rows and every artifact carries a
-//! `fidelity` column, so mixed-tier sweeps stay joinable. `sweep bench
-//! --fidelity estimate` benches the estimator itself; the artifact
-//! records the tier and baseline diffs warn across tiers.
+//! `fidelity` column, so mixed-tier sweeps stay joinable.
 //!
 //! `sweep validate-estimates` is the estimate tier's contract check: it
 //! runs the pinned bench catalogue at both tiers sequentially, prints
@@ -113,9 +98,7 @@ fn usage() -> ExitCode {
          \x20            [--point-timeout secs]\n\
          \x20 sweep timeseries <scenario>[,…]|all [run options]\n\
          \x20 sweep trace <scenario>[,…]|all [run options]\n\
-         \x20 sweep bench [--smoke] [--baseline file.json] [--out file.json]\n\
-         \x20            [--date YYYY-MM-DD] [--repeat N] [--profile full|lean]\n\
-         \x20            [--fidelity exact|estimate] [--shards k] [--point-timeout secs]\n\
+         \x20 sweep bench [--smoke] [--shards k] [--out file.json]\n\
          \x20 sweep validate-estimates [--smoke] [--out name] [--point-timeout secs]\n\
          scenarios: {}",
         library::all_names().join(", ")
@@ -158,6 +141,19 @@ fn parse_point_timeout(v: &str) -> Result<std::time::Duration, String> {
         .ok_or_else(|| "bad --point-timeout (need an integer number of seconds >= 1)".into())
 }
 
+/// Parses a whole number of `unit_ns`-nanosecond units into a duration,
+/// rejecting a value whose nanoseconds do not fit in `u64` instead of
+/// letting the multiply wrap.
+fn parse_duration(flag: &str, v: &str, unit_ns: u64) -> Result<SimDuration, String> {
+    let n: u64 = v
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad {flag} value {v:?}"))?;
+    n.checked_mul(unit_ns)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| format!("{flag} value {n} overflows the nanosecond clock"))
+}
+
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut o = Options {
         ports: Vec::new(),
@@ -188,10 +184,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--seeds" => o.seeds = parse_list(&value()?)?,
             "--shards" => o.shards = parse_list(&value()?)?,
             "--reconfigs-us" => {
-                o.reconfigs = parse_list::<u64>(&value()?)?
-                    .into_iter()
-                    .map(SimDuration::from_micros)
-                    .collect()
+                o.reconfigs = value()?
+                    .split(',')
+                    .map(|r| parse_duration("--reconfigs-us", r, 1_000))
+                    .collect::<Result<_, _>>()?
             }
             "--fidelity" => {
                 o.fidelities = value()?
@@ -212,9 +208,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .collect::<Result<_, _>>()?
             }
             "--duration-ms" => {
-                o.duration = Some(SimDuration::from_millis(
-                    value()?.parse().map_err(|_| "bad --duration-ms")?,
-                ))
+                o.duration = Some(parse_duration("--duration-ms", &value()?, 1_000_000)?)
             }
             "--threads" => o.threads = Some(value()?.parse().map_err(|_| "bad --threads")?),
             "--out" => o.out = Some(value()?),
@@ -318,14 +312,8 @@ fn run(names: &str, opts: Options) -> Result<(), String> {
 
 fn run_bench_cmd(args: &[String]) -> Result<(), String> {
     let mut smoke = false;
-    let mut baseline_path: Option<String> = None;
     let mut out: Option<String> = None;
-    let mut date: Option<String> = None;
-    let mut repeat: u32 = 1;
-    let mut profile = InstrProfile::Lean;
-    let mut fidelity = Fidelity::Exact;
     let mut shards: Option<usize> = None;
-    let mut point_timeout: Option<std::time::Duration> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
@@ -335,28 +323,7 @@ fn run_bench_cmd(args: &[String]) -> Result<(), String> {
         };
         match flag.as_str() {
             "--smoke" => smoke = true,
-            "--baseline" => baseline_path = Some(value()?),
             "--out" => out = Some(value()?),
-            "--date" => date = Some(value()?),
-            "--repeat" => {
-                repeat = value()?
-                    .parse()
-                    .ok()
-                    .filter(|&r| r >= 1)
-                    .ok_or("bad --repeat (need an integer >= 1)")?
-            }
-            "--profile" => {
-                let v = value()?;
-                profile = match InstrProfile::from_name(&v) {
-                    Some(p @ (InstrProfile::Full | InstrProfile::Lean)) => p,
-                    _ => return Err(format!("bad --profile {v:?} (bench takes full|lean)")),
-                }
-            }
-            "--fidelity" => {
-                let v = value()?;
-                fidelity = Fidelity::from_name(&v)
-                    .ok_or_else(|| format!("bad --fidelity {v:?} (exact|estimate)"))?
-            }
             "--shards" => {
                 shards = Some(
                     value()?
@@ -366,106 +333,48 @@ fn run_bench_cmd(args: &[String]) -> Result<(), String> {
                         .ok_or("bad --shards (need an integer >= 1)")?,
                 )
             }
-            "--point-timeout" => point_timeout = Some(parse_point_timeout(&value()?)?),
             other => return Err(format!("unknown option {other}")),
         }
     }
-    // Resolve the baseline *before* running minutes of bench points: a
-    // bad path or a truncated artifact must fail in milliseconds with a
-    // one-line error, not panic after the measurement.
-    let baseline = match &baseline_path {
-        None => None,
-        Some(p) => Some(xds_bench::bench::Baseline::load(p)?),
-    };
-    if let Some(b) = &baseline {
-        if let Some(warn) = b.profile_mismatch_warning(profile.label()) {
-            eprintln!("{warn}");
-        }
-        if let Some(warn) = b.fidelity_mismatch_warning(fidelity.label()) {
-            eprintln!("{warn}");
-        }
-    }
     let mode = if smoke { "smoke" } else { "full" };
-    let date = date.unwrap_or_else(xds_bench::bench::today_string);
     let mut specs = xds_bench::bench::catalogue(smoke);
     // Forcing the shard count never changes events or delivered bytes
     // (the sharded core's determinism contract), so point names stay
-    // untouched and the artifact remains baseline-comparable.
+    // untouched and CI can compare the two artifacts point for point.
     if let Some(k) = shards {
         specs = specs.into_iter().map(|s| s.with_shards(k)).collect();
     }
     println!(
-        "sweep bench: {} pinned point(s), mode={mode}, fastest-of-{repeat}, \
-         profile={}, fidelity={}{}, sequential single-thread\n",
+        "sweep bench: {} pinned point(s), mode={mode}, profile=lean, fidelity=exact{}, \
+         sequential single-thread\n",
         specs.len(),
-        profile.label(),
-        fidelity.label(),
         match shards {
             Some(k) => format!(", shards={k}"),
             None => String::new(),
         }
     );
-    let run = xds_bench::bench::run_bench(
-        specs,
-        mode,
-        date.clone(),
-        repeat,
-        profile,
-        fidelity,
-        point_timeout,
-        |p| {
-            println!(
-                "  {:<20} {:>10} events {:>9.1} ms {:>12.0} ev/s",
-                p.name,
-                p.events,
-                p.wall_ns as f64 / 1e6,
-                p.events_per_sec()
-            );
-        },
-    )?;
+    let run = xds_bench::bench::run_bench(specs, mode, |p| {
+        println!(
+            "  {:<20} {:>10} events {:>9.1} ms {:>12.0} ev/s",
+            p.name,
+            p.events,
+            p.wall_ns as f64 / 1e6,
+            p.events_per_sec()
+        );
+    })?;
     println!(
         "\n  total: {} events in {:.1} ms = {:.0} events/sec",
         run.total_events(),
         run.total_wall_ns() as f64 / 1e6,
         run.events_per_sec()
     );
-    if let Some(b) = &baseline {
-        let m = run.matched_speedup(b);
-        match m.speedup() {
-            Some(speedup) => println!(
-                "  baseline ({}): {:.0} events/sec on the {} matched point(s) \
-                 -> speedup {speedup:.2}x{}",
-                b.date,
-                m.baseline_events_per_sec,
-                m.matched,
-                if m.baseline_exact {
-                    ""
-                } else {
-                    " (baseline lacks raw counters: denominator is its whole-subset aggregate)"
-                }
-            ),
-            None => println!(
-                "  baseline ({}): no points in common with this subset — \
-                 no speedup to report",
-                b.date
-            ),
-        }
-    }
-    let path = out.unwrap_or_else(|| {
-        if smoke {
-            // CI liveness runs must not overwrite the committed artifact.
-            format!("results/bench_smoke_{date}.json")
-        } else {
-            format!("BENCH_{date}.json")
-        }
-    });
+    let path = out.unwrap_or_else(|| format!("results/bench_{mode}.json"));
     if let Some(dir) = std::path::Path::new(&path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
         }
     }
-    std::fs::write(&path, run.to_json(baseline.as_ref()))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    std::fs::write(&path, run.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("[saved {path}]");
     Ok(())
 }
@@ -539,7 +448,7 @@ fn run_validate_cmd(args: &[String]) -> Result<(), String> {
 /// Formats one catalogue line per scenario name, resolving each through
 /// the library. A name that fails to resolve — catalogue drift, or a
 /// hand-edited invocation listing a scenario that no longer exists — is
-/// a one-line user error (same style as `Baseline::load`), not a panic.
+/// a one-line user error, not a panic.
 fn list_lines<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<Vec<String>, String> {
     names
         .into_iter()
@@ -630,7 +539,7 @@ fn main() -> ExitCode {
             };
             let parsed = parse_options(&args[2..]).and_then(|mut o| {
                 // Reject a conflicting explicit profile instead of
-                // silently overriding it (mirrors bench's behavior).
+                // silently overriding it.
                 if matches!(o.profile, Some(p) if p != InstrProfile::TimeSeries) {
                     return Err("the timeseries subcommand pins --profile timeseries; \
                          use `sweep run --profile <p>` for other profiles"
@@ -675,6 +584,37 @@ mod tests {
             .find(|l| l.starts_with("uniform "))
             .expect("uniform is in the catalogue");
         assert!(uniform.contains("faults=none"), "{uniform}");
+    }
+
+    #[test]
+    fn duration_flags_reject_values_that_overflow_nanoseconds() {
+        let args = |flag: &str, v: &str| vec![flag.to_string(), v.to_string()];
+        // u64::MAX ns is 18_446_744_073_709 ms and 18_446_744_073_709_551 µs.
+        let o = parse_options(&args("--duration-ms", "18446744073709")).unwrap();
+        assert_eq!(
+            o.duration,
+            Some(SimDuration::from_nanos(18_446_744_073_709_000_000))
+        );
+        let o = parse_options(&args("--reconfigs-us", "1,18446744073709551")).unwrap();
+        assert_eq!(
+            o.reconfigs,
+            vec![
+                SimDuration::from_micros(1),
+                SimDuration::from_nanos(18_446_744_073_709_551_000)
+            ]
+        );
+        for (flag, v) in [
+            ("--duration-ms", "18446744073710"),
+            ("--reconfigs-us", "18446744073709552"),
+            ("--reconfigs-us", "1,18446744073709552"),
+        ] {
+            let err = match parse_options(&args(flag, v)) {
+                Ok(_) => panic!("{flag} {v} must be rejected"),
+                Err(e) => e,
+            };
+            assert!(err.contains(flag), "error must name the flag: {err}");
+            assert!(!err.contains('\n'), "one-line user error: {err}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Determinism of the perf-baseline subset across worker counts: the
+//! Determinism of the bench catalogue across worker counts: the
 //! `sweep bench` points (including the 128/256-port `scale-stress`
 //! scenario) must produce **byte-identical** serialized output whether
 //! the sweep runs on 1, 2 or 8 threads. This extends the original
-//! small-scenario determinism test to the exact workloads the perf
-//! trajectory is pinned to — a hot-path change that races or reorders
-//! anything shows up here as a serialization diff.
+//! small-scenario determinism test to the catalogue that CI's liveness
+//! pass and the estimate tier's validation run — a hot-path change that
+//! races or reorders anything shows up here as a serialization diff.
 
 use xds_bench::bench;
 use xds_scenario::{library, ScenarioSpec, SweepExecutor};

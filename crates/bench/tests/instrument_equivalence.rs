@@ -1,10 +1,10 @@
 //! Instrumentation-profile equivalence: the profile a run is observed at
 //! must never change what the run *does*.
 //!
-//! Contract (enforced here, relied on by `sweep bench` defaulting to the
-//! `lean` profile): for every pinned bench point, the `lean` and
-//! `timeseries` profiles produce **exactly** the event count and
-//! delivered bytes of the `full` profile. Full fidelity itself is pinned
+//! Contract (enforced here, relied on by `sweep bench` running every
+//! point under the `lean` profile): for every pinned bench point, the
+//! `lean` and `timeseries` profiles produce **exactly** the event count
+//! and delivered bytes of the `full` profile. Full fidelity itself is pinned
 //! byte-for-byte by the golden-trace tests at the workspace root
 //! (`tests/golden_trace.rs`), which run through the same
 //! `SimBuilder`/sink machinery.
@@ -129,18 +129,9 @@ fn bench_runs_lean_by_default_and_records_the_profile() {
         .filter(|s| s.n_ports == 16)
         .take(2)
         .collect();
-    let run = bench::run_bench(
-        specs,
-        "smoke",
-        "2026-01-01".into(),
-        1,
-        InstrProfile::Lean,
-        xds_scenario::Fidelity::Exact,
-        None,
-        |_| {},
-    )
-    .unwrap();
-    assert_eq!(run.profile, "lean");
-    assert!(run.to_json(None).contains("\"profile\": \"lean\""));
+    let run = bench::run_bench(specs, "smoke", |_| {}).unwrap();
+    let json = run.to_json();
+    assert!(json.contains("\"profile\": \"lean\""), "{json}");
+    assert!(json.contains("\"fidelity\": \"exact\""), "{json}");
     assert!(run.total_events() > 0);
 }

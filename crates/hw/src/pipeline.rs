@@ -1,11 +1,9 @@
 //! Pipelined-datapath latency model.
 //!
 //! A hardware scheduler is a pipeline: demand snapshot → algorithm →
-//! grant fan-out. Latency is the sum of stage depths; throughput is set by
-//! the initiation interval (a new decision can start every II cycles even
-//! while earlier ones are in flight). This is the model used to claim
-//! "hardware may not be fast by default, but with proper implementation
-//! fast, high performance operation can be achieved" (§3).
+//! grant fan-out. Latency is the sum of stage depths. This is the model
+//! used to claim "hardware may not be fast by default, but with proper
+//! implementation fast, high performance operation can be achieved" (§3).
 
 use xds_sim::SimDuration;
 
@@ -24,27 +22,13 @@ pub struct Stage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pipeline {
     stages: Vec<Stage>,
-    initiation_interval: u64,
 }
 
 impl Pipeline {
-    /// Builds a pipeline; the initiation interval defaults to the deepest
-    /// stage (a classic non-superpipelined design).
+    /// Builds a pipeline from its stages, in order.
     pub fn new(stages: Vec<Stage>) -> Self {
         assert!(!stages.is_empty(), "pipeline needs at least one stage");
-        let ii = stages.iter().map(|s| s.cycles).max().expect("non-empty");
-        Pipeline {
-            stages,
-            initiation_interval: ii.max(1),
-        }
-    }
-
-    /// Overrides the initiation interval (e.g. a fully pipelined II = 1
-    /// engine).
-    pub fn with_initiation_interval(mut self, ii: u64) -> Self {
-        assert!(ii >= 1, "initiation interval must be at least 1");
-        self.initiation_interval = ii;
-        self
+        Pipeline { stages }
     }
 
     /// The stages.
@@ -60,11 +44,6 @@ impl Pipeline {
     /// End-to-end latency in time.
     pub fn latency(&self, clock: ClockDomain) -> SimDuration {
         clock.cycles_to_time(self.latency_cycles())
-    }
-
-    /// Decisions per second at steady state.
-    pub fn decisions_per_sec(&self, clock: ClockDomain) -> f64 {
-        clock.freq_hz() as f64 / self.initiation_interval as f64
     }
 }
 
@@ -97,19 +76,6 @@ mod tests {
             p.latency(ClockDomain::NETFPGA_SUME),
             SimDuration::from_nanos(130)
         );
-    }
-
-    #[test]
-    fn default_ii_is_deepest_stage() {
-        let p = sample();
-        // II = 20 cycles at 200 MHz → 10M decisions/s.
-        assert!((p.decisions_per_sec(ClockDomain::NETFPGA_SUME) - 10e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn ii_override() {
-        let p = sample().with_initiation_interval(1);
-        assert!((p.decisions_per_sec(ClockDomain::NETFPGA_SUME) - 200e6).abs() < 1.0);
     }
 
     #[test]

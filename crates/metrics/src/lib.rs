@@ -12,7 +12,6 @@
 //!   elephant size classes;
 //! * [`CounterSet`] — the deterministic internal-counters registry the
 //!   runtime's flight recorder reports through;
-//! * [`TimeSeries`] — decimating series for occupancy-over-time plots;
 //! * [`EpochSeries`] — one row of scheduler telemetry per epoch, for the
 //!   `timeseries` instrumentation profile;
 //! * [`Table`] — the text/Markdown/CSV renderer used by every bench binary
@@ -36,6 +35,6 @@ pub use counters::{CounterKind, CounterSet};
 pub use fasthash::{FastHashBuilder, FastHashMap, FastHasher};
 pub use fct::{FctStats, FctTracker, SizeClass};
 pub use hist::LatencyHistogram;
-pub use jitter::{InterArrival, Rfc3550Jitter};
+pub use jitter::Rfc3550Jitter;
 pub use report::{fmt_bytes, fmt_f64, Table};
-pub use series::{EpochRow, EpochSeries, TimeSeries};
+pub use series::{EpochRow, EpochSeries};

@@ -1,81 +1,7 @@
-//! Bounded time series with automatic decimation.
-//!
-//! Occupancy-over-time traces (VOQ depth, host buffer level) can contain one
-//! point per packet; the series halves its sampling rate whenever it would
-//! exceed its point budget, keeping memory bounded while preserving the
-//! envelope of the signal.
+//! Epoch-resolution scheduler telemetry: one row per scheduler epoch,
+//! for the `timeseries` instrumentation profile.
 
 use xds_sim::SimTime;
-
-/// An append-only `(time, value)` series with a point budget.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-    max_points: usize,
-    /// Keep every `stride`-th pushed sample.
-    stride: u64,
-    pushed: u64,
-    peak: f64,
-}
-
-impl TimeSeries {
-    /// Creates a series that retains at most `max_points` points
-    /// (minimum 2).
-    pub fn new(max_points: usize) -> Self {
-        TimeSeries {
-            points: Vec::new(),
-            max_points: max_points.max(2),
-            stride: 1,
-            pushed: 0,
-            peak: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Appends a sample; may be dropped by decimation, but peaks are always
-    /// tracked exactly.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        self.peak = self.peak.max(value);
-        if self.pushed.is_multiple_of(self.stride) {
-            if self.points.len() == self.max_points {
-                // Halve resolution: keep every other retained point.
-                let mut keep = Vec::with_capacity(self.max_points / 2 + 1);
-                for (i, p) in self.points.drain(..).enumerate() {
-                    if i % 2 == 0 {
-                        keep.push(p);
-                    }
-                }
-                self.points = keep;
-                self.stride *= 2;
-            }
-            self.points.push((at, value));
-        }
-        self.pushed += 1;
-    }
-
-    /// Retained points, oldest first.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Total samples offered (including decimated-away ones).
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Exact maximum over *all* pushed samples (not just retained ones).
-    pub fn peak(&self) -> f64 {
-        if self.pushed == 0 {
-            0.0
-        } else {
-            self.peak
-        }
-    }
-
-    /// Last retained value.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.points.last().copied()
-    }
-}
 
 /// One row of epoch-resolution scheduler telemetry: the per-epoch view of
 /// the quantities the paper's evaluation plots over time (demand-estimation
@@ -148,49 +74,6 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
-    }
-
-    #[test]
-    fn retains_everything_under_budget() {
-        let mut ts = TimeSeries::new(100);
-        for i in 0..50u64 {
-            ts.push(t(i), i as f64);
-        }
-        assert_eq!(ts.points().len(), 50);
-        assert_eq!(ts.pushed(), 50);
-    }
-
-    #[test]
-    fn decimates_over_budget_but_stays_bounded() {
-        let mut ts = TimeSeries::new(64);
-        for i in 0..100_000u64 {
-            ts.push(t(i), i as f64);
-        }
-        assert!(ts.points().len() <= 64);
-        assert_eq!(ts.pushed(), 100_000);
-        // Points remain in time order.
-        for w in ts.points().windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-    }
-
-    #[test]
-    fn peak_is_exact_despite_decimation() {
-        let mut ts = TimeSeries::new(4);
-        for i in 0..1000u64 {
-            // Spike at i=500 that decimation could easily drop.
-            let v = if i == 500 { 9999.0 } else { 1.0 };
-            ts.push(t(i), v);
-        }
-        assert_eq!(ts.peak(), 9999.0);
-    }
-
-    #[test]
-    fn empty_series() {
-        let ts = TimeSeries::new(10);
-        assert_eq!(ts.peak(), 0.0);
-        assert!(ts.last().is_none());
-        assert!(ts.points().is_empty());
     }
 
     #[test]

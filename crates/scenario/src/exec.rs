@@ -119,6 +119,12 @@ pub fn run_point_guarded(
     let Some(limit) = timeout else {
         return run();
     };
+    // A deadline past what `Instant` can represent is no deadline: the
+    // point runs unwatched, to completion.
+    // xlint: allow(wall-clock) — watchdog deadline is harness wall time; it gates result acceptance, never simulated behavior
+    let Some(deadline) = std::time::Instant::now().checked_add(limit) else {
+        return run();
+    };
     let (tx, rx) = std::sync::mpsc::channel();
     let spawned = std::thread::Builder::new()
         .name(format!("point-{name}"))
@@ -128,8 +134,6 @@ pub fn run_point_guarded(
     if let Err(e) = spawned {
         return Err(format!("scenario {name}: watchdog spawn failed: {e}"));
     }
-    // xlint: allow(wall-clock) — watchdog deadline is harness wall time; it gates result acceptance, never simulated behavior
-    let deadline = std::time::Instant::now() + limit;
     loop {
         // xlint: allow(wall-clock) — remaining watchdog budget against the same harness-side deadline
         let left = deadline.saturating_duration_since(std::time::Instant::now());
@@ -314,16 +318,22 @@ mod tests {
             .run(vec![slow]);
         let err = results.points[0].report.as_ref().unwrap_err();
         assert!(err.contains("point timeout"), "{err}");
-        // A generous budget accepts the result unchanged.
+        // A generous budget accepts the result unchanged, and so does one
+        // whose deadline `Instant` cannot represent.
         let spec = ScenarioSpec::new("fast")
             .with_ports(4)
             .with_duration(SimDuration::from_millis(1));
         let unwatched = spec.clone().run().unwrap();
-        let watched = SweepExecutor::with_threads(1)
-            .with_point_timeout(Some(std::time::Duration::from_secs(600)))
-            .run(vec![spec]);
-        let r = watched.points[0].report.as_ref().unwrap();
-        assert_eq!(r.events, unwatched.events);
-        assert_eq!(r.counters, unwatched.counters);
+        for budget in [
+            std::time::Duration::from_secs(600),
+            std::time::Duration::MAX,
+        ] {
+            let watched = SweepExecutor::with_threads(1)
+                .with_point_timeout(Some(budget))
+                .run(vec![spec.clone()]);
+            let r = watched.points[0].report.as_ref().unwrap();
+            assert_eq!(r.events, unwatched.events, "{budget:?}");
+            assert_eq!(r.counters, unwatched.counters, "{budget:?}");
+        }
     }
 }

@@ -108,8 +108,8 @@ pub fn scenario(name: &str) -> Option<ScenarioSpec> {
 
             // Large-fabric stress: 128 ports (sweepable to 256) of multi-ring
             // demand that needs all four configuration slots of a Solstice
-            // decomposition per epoch — the scale point the perf baseline
-            // (`sweep bench`) tracks, sized to saturate the schedule-
+            // decomposition per epoch — the scale point of the bench
+            // catalogue (`sweep bench`), sized to saturate the schedule-
             // execution hot path rather than any single pair.
             "scale-stress" => ScenarioSpec::new("scale-stress")
                 .with_ports(128)

@@ -1,9 +1,9 @@
 //! Sampling distributions for workload generation.
 //!
-//! The traffic generators need heavy-tailed flow sizes (bounded Pareto,
-//! log-normal, empirical CDFs lifted from published data-center measurement
-//! studies) and skewed destination choices (Zipf). All samplers draw from
-//! [`SimRng`] so runs stay deterministic.
+//! The traffic generators need heavy-tailed flow sizes (empirical CDFs
+//! lifted from published data-center measurement studies), and the
+//! software-scheduler model needs log-normal I/O and OS jitter. All
+//! samplers draw from [`SimRng`] so runs stay deterministic.
 
 use crate::rng::SimRng;
 
@@ -25,28 +25,6 @@ pub trait Sample {
 pub enum Dist {
     /// Always returns the same value.
     Constant(f64),
-    /// Uniform on `[lo, hi)`.
-    Uniform {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
-    /// Exponential with the given mean.
-    Exp {
-        /// Mean of the distribution (1/λ).
-        mean: f64,
-    },
-    /// Pareto with optional upper truncation (resampling at the cap keeps
-    /// the tail shape below it).
-    Pareto {
-        /// Scale (minimum value), > 0.
-        scale: f64,
-        /// Tail index α, > 0. α ≤ 1 has an infinite mean.
-        shape: f64,
-        /// Optional upper bound; samples above it are clamped.
-        cap: Option<f64>,
-    },
     /// Log-normal with the given parameters of the underlying normal.
     LogNormal {
         /// Mean of the underlying normal.
@@ -67,29 +45,6 @@ impl Dist {
                     return Err(format!("constant must be finite, got {v}"));
                 }
             }
-            Dist::Uniform { lo, hi } => {
-                if !(lo.is_finite() && hi.is_finite() && lo < hi) {
-                    return Err(format!("uniform needs lo < hi, got [{lo}, {hi})"));
-                }
-            }
-            Dist::Exp { mean } => {
-                if !(mean.is_finite() && *mean > 0.0) {
-                    return Err(format!("exponential mean must be > 0, got {mean}"));
-                }
-            }
-            Dist::Pareto { scale, shape, cap } => {
-                if !(scale.is_finite() && *scale > 0.0) {
-                    return Err(format!("pareto scale must be > 0, got {scale}"));
-                }
-                if !(shape.is_finite() && *shape > 0.0) {
-                    return Err(format!("pareto shape must be > 0, got {shape}"));
-                }
-                if let Some(c) = cap {
-                    if c < scale {
-                        return Err(format!("pareto cap {c} below scale {scale}"));
-                    }
-                }
-            }
             Dist::LogNormal { mu, sigma } => {
                 if !(mu.is_finite() && sigma.is_finite() && *sigma >= 0.0) {
                     return Err(format!(
@@ -107,21 +62,6 @@ impl Sample for Dist {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         match self {
             Dist::Constant(v) => *v,
-            Dist::Uniform { lo, hi } => lo + (hi - lo) * rng.f64(),
-            Dist::Exp { mean } => rng.exp(*mean),
-            Dist::Pareto { scale, shape, cap } => {
-                let u = loop {
-                    let u = rng.f64();
-                    if u > 0.0 {
-                        break u;
-                    }
-                };
-                let x = scale / u.powf(1.0 / shape);
-                match cap {
-                    Some(c) => x.min(*c),
-                    None => x,
-                }
-            }
             Dist::LogNormal { mu, sigma } => (mu + sigma * rng.gaussian()).exp(),
             Dist::Empirical(cdf) => cdf.sample(rng),
         }
@@ -130,22 +70,6 @@ impl Sample for Dist {
     fn mean(&self) -> Option<f64> {
         match self {
             Dist::Constant(v) => Some(*v),
-            Dist::Uniform { lo, hi } => Some(0.5 * (lo + hi)),
-            Dist::Exp { mean } => Some(*mean),
-            Dist::Pareto {
-                scale,
-                shape,
-                cap: None,
-            } => {
-                if *shape > 1.0 {
-                    Some(shape * scale / (shape - 1.0))
-                } else {
-                    None
-                }
-            }
-            // The truncated-Pareto mean exists but the closed form is messy;
-            // callers use the empirical mean instead.
-            Dist::Pareto { cap: Some(_), .. } => None,
             Dist::LogNormal { mu, sigma } => Some((mu + 0.5 * sigma * sigma).exp()),
             Dist::Empirical(cdf) => Some(cdf.mean()),
         }
@@ -244,58 +168,6 @@ impl EmpiricalCdf {
     }
 }
 
-/// Zipf-distributed index sampler over `0..n` with exponent `s`
-/// (precomputed CDF; O(log n) per draw).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds a sampler over `n` ranks with exponent `s ≥ 0` (s = 0 is
-    /// uniform).
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `s` is negative/non-finite.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s.is_finite() && s >= 0.0, "Zipf exponent must be ≥ 0");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for p in &mut cdf {
-            *p /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when there is exactly one rank (sampling is then constant).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Draws a rank in `0..n`; rank 0 is the most popular.
-    pub fn sample_index(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,61 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Dist::Uniform { lo: 2.0, hi: 4.0 };
-        let mut rng = SimRng::new(2);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..4.0).contains(&x));
-        }
-        assert!((mean_of(&d, 3, 100_000) - 3.0).abs() < 0.02);
-    }
-
-    #[test]
-    fn exponential_mean_matches() {
-        let d = Dist::Exp { mean: 123.0 };
-        let m = mean_of(&d, 4, 200_000);
-        assert!((m - 123.0).abs() / 123.0 < 0.02, "mean {m}");
-    }
-
-    #[test]
-    fn pareto_min_and_tail() {
-        let d = Dist::Pareto {
-            scale: 10.0,
-            shape: 1.5,
-            cap: None,
-        };
-        let mut rng = SimRng::new(5);
-        let mut above_100 = 0usize;
-        for _ in 0..100_000 {
-            let x = d.sample(&mut rng);
-            assert!(x >= 10.0);
-            if x > 100.0 {
-                above_100 += 1;
-            }
-        }
-        // P(X > 100) = (10/100)^1.5 ≈ 0.0316
-        let frac = above_100 as f64 / 100_000.0;
-        assert!((frac - 0.0316).abs() < 0.005, "tail fraction {frac}");
-        // analytic mean α·m/(α−1) = 30
-        assert_eq!(d.mean(), Some(30.0));
-    }
-
-    #[test]
-    fn pareto_cap_clamps() {
-        let d = Dist::Pareto {
-            scale: 10.0,
-            shape: 0.5,
-            cap: Some(1000.0),
-        };
-        let mut rng = SimRng::new(6);
-        for _ in 0..50_000 {
-            let x = d.sample(&mut rng);
-            assert!((10.0..=1000.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn lognormal_mean() {
         let d = Dist::LogNormal {
             mu: 1.0,
@@ -384,22 +201,6 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_parameters() {
-        assert!(Dist::Uniform { lo: 1.0, hi: 1.0 }.validate().is_err());
-        assert!(Dist::Exp { mean: 0.0 }.validate().is_err());
-        assert!(Dist::Pareto {
-            scale: -1.0,
-            shape: 1.0,
-            cap: None
-        }
-        .validate()
-        .is_err());
-        assert!(Dist::Pareto {
-            scale: 10.0,
-            shape: 1.0,
-            cap: Some(5.0)
-        }
-        .validate()
-        .is_err());
         assert!(Dist::LogNormal {
             mu: 0.0,
             sigma: -1.0
@@ -407,7 +208,7 @@ mod tests {
         .validate()
         .is_err());
         assert!(Dist::Constant(f64::NAN).validate().is_err());
-        assert!(Dist::Uniform { lo: 0.0, hi: 1.0 }.validate().is_ok());
+        assert!(Dist::Constant(1.0).validate().is_ok());
     }
 
     #[test]
@@ -445,31 +246,6 @@ mod tests {
         let cdf = EmpiricalCdf::new(vec![(4.0, 0.3), (8.0, 1.0)]).unwrap();
         assert_eq!(cdf.quantile(0.0), 4.0);
         assert_eq!(cdf.quantile(0.3), 4.0);
-    }
-
-    #[test]
-    fn zipf_is_skewed_and_in_bounds() {
-        let z = Zipf::new(100, 1.2);
-        let mut rng = SimRng::new(9);
-        let mut counts = vec![0u32; 100];
-        for _ in 0..100_000 {
-            counts[z.sample_index(&mut rng)] += 1;
-        }
-        assert!(counts[0] > counts[10], "rank 0 should dominate rank 10");
-        assert!(counts[0] > counts[99] * 5, "head should dwarf tail");
-    }
-
-    #[test]
-    fn zipf_zero_exponent_is_uniform() {
-        let z = Zipf::new(10, 0.0);
-        let mut rng = SimRng::new(10);
-        let mut counts = vec![0u32; 10];
-        for _ in 0..100_000 {
-            counts[z.sample_index(&mut rng)] += 1;
-        }
-        for &c in &counts {
-            assert!((8_500..11_500).contains(&c), "bucket {c} not uniform");
-        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   Every run in the workspace is reproducible from a single `u64` seed;
 //!   independent sub-streams are created with [`SimRng::fork`].
 //! * [`dist`] — sampling distributions used by the traffic generators
-//!   (uniform, exponential, bounded Pareto, log-normal, empirical CDF, Zipf).
-//! * [`rate`] — bit-rate arithmetic ([`BitRate`], transmission times, token
-//!   buckets).
+//!   and the software-scheduler model (constant, log-normal, empirical
+//!   CDF).
+//! * [`rate`] — bit-rate arithmetic ([`BitRate`], transmission times).
 //!
 //! The design follows the session's networking guides: a synchronous,
 //! poll/event-driven core in the smoltcp tradition. The workload is CPU-bound
@@ -35,8 +35,8 @@ pub mod rate;
 pub mod rng;
 pub mod time;
 
-pub use dist::{Dist, EmpiricalCdf, Sample, Zipf};
+pub use dist::{Dist, EmpiricalCdf, Sample};
 pub use event::EventQueue;
-pub use rate::{BitRate, TokenBucket, TxTimeCache};
+pub use rate::{BitRate, TxTimeCache};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

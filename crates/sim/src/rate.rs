@@ -1,11 +1,11 @@
-//! Bit-rate arithmetic: serialization delays, byte budgets, token buckets.
+//! Bit-rate arithmetic: serialization delays and byte budgets.
 //!
 //! All conversions use 128-bit intermediate integer math so that a 100 Gb/s
 //! link and a multi-second window never overflow and every result is exact
 //! (rounded up for transmission times — a partial nanosecond still occupies
 //! the wire).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A link or port speed in bits per second.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -130,67 +130,6 @@ impl core::fmt::Display for BitRate {
     }
 }
 
-/// A token bucket for rate limiting / pacing.
-///
-/// Tokens are denominated in bytes and refill continuously at `rate`.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate: BitRate,
-    burst_bytes: u64,
-    tokens: f64,
-    last_refill: SimTime,
-}
-
-impl TokenBucket {
-    /// Creates a bucket that starts full.
-    pub fn new(rate: BitRate, burst_bytes: u64) -> Self {
-        TokenBucket {
-            rate,
-            burst_bytes,
-            tokens: burst_bytes as f64,
-            last_refill: SimTime::ZERO,
-        }
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_refill);
-        if !dt.is_zero() {
-            let add = self.rate.bytes_per_sec() as f64 * dt.as_secs_f64();
-            self.tokens = (self.tokens + add).min(self.burst_bytes as f64);
-            self.last_refill = now;
-        }
-    }
-
-    /// Attempts to consume `bytes` worth of tokens at `now`.
-    pub fn try_consume(&mut self, now: SimTime, bytes: u64) -> bool {
-        self.refill(now);
-        if self.tokens >= bytes as f64 {
-            self.tokens -= bytes as f64;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The earliest instant at which `bytes` tokens will be available,
-    /// assuming no other consumption in between.
-    pub fn earliest(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.refill(now);
-        if self.tokens >= bytes as f64 {
-            return now;
-        }
-        let deficit = bytes as f64 - self.tokens;
-        let secs = deficit / self.rate.bytes_per_sec() as f64;
-        now + SimDuration::from_secs_f64(secs)
-    }
-
-    /// Current token level in bytes (after refilling to `now`).
-    pub fn level(&mut self, now: SimTime) -> u64 {
-        self.refill(now);
-        self.tokens as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,47 +174,5 @@ mod tests {
     #[should_panic(expected = "bit rate must be positive")]
     fn zero_rate_rejected() {
         BitRate::from_bps(0);
-    }
-
-    #[test]
-    fn token_bucket_starts_full_and_drains() {
-        let mut tb = TokenBucket::new(BitRate::GBPS_1, 3000);
-        let t0 = SimTime::ZERO;
-        assert!(tb.try_consume(t0, 1500));
-        assert!(tb.try_consume(t0, 1500));
-        assert!(!tb.try_consume(t0, 1));
-    }
-
-    #[test]
-    fn token_bucket_refills_at_rate() {
-        let mut tb = TokenBucket::new(BitRate::GBPS_1, 1500);
-        let t0 = SimTime::ZERO;
-        assert!(tb.try_consume(t0, 1500));
-        // 1 Gb/s = 125 MB/s → 1500 B refill in 12 µs.
-        let t1 = t0 + SimDuration::from_micros(12);
-        assert!(tb.try_consume(t1, 1500));
-        assert!(!tb.try_consume(t1, 1500));
-    }
-
-    #[test]
-    fn token_bucket_earliest_prediction() {
-        let mut tb = TokenBucket::new(BitRate::GBPS_1, 1500);
-        let t0 = SimTime::ZERO;
-        assert_eq!(tb.earliest(t0, 1000), t0);
-        assert!(tb.try_consume(t0, 1500));
-        let eta = tb.earliest(t0, 1500);
-        // ≈ 12 µs (float rounding tolerated: ±1 ns).
-        let expect = SimDuration::from_micros(12).as_nanos();
-        let got = eta.saturating_since(t0).as_nanos();
-        assert!(got.abs_diff(expect) <= 1, "eta {got} vs {expect}");
-        assert!(tb.try_consume(eta + SimDuration::from_nanos(1), 1500));
-    }
-
-    #[test]
-    fn token_bucket_caps_at_burst() {
-        let mut tb = TokenBucket::new(BitRate::GBPS_10, 1000);
-        let later = SimTime::from_secs(10);
-        assert_eq!(tb.level(later), 1000);
-        assert!(!tb.try_consume(later, 1001));
     }
 }

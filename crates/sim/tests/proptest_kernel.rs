@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel.
 
 use proptest::prelude::*;
-use xds_sim::{BitRate, EventQueue, SimDuration, SimRng, SimTime, TokenBucket};
+use xds_sim::{BitRate, EventQueue, SimRng, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -153,28 +153,6 @@ proptest! {
         while let Some((t, _)) = q.pop() {
             prop_assert_eq!(q.now(), t);
         }
-    }
-
-    /// A token bucket never lets more than `burst + rate·t` bytes through.
-    #[test]
-    fn token_bucket_enforces_long_run_rate(requests in proptest::collection::vec((0u64..5_000, 1u64..3_000), 1..200)) {
-        let rate = BitRate::from_mbps(800); // 100 MB/s
-        let burst = 10_000u64;
-        let mut tb = TokenBucket::new(rate, burst);
-        let mut now = SimTime::ZERO;
-        let mut granted = 0u64;
-        for &(gap_ns, bytes) in &requests {
-            now += SimDuration::from_nanos(gap_ns);
-            if tb.try_consume(now, bytes) {
-                granted += bytes;
-            }
-        }
-        let elapsed = now.as_nanos() as f64 / 1e9;
-        let bound = burst as f64 + rate.bytes_per_sec() as f64 * elapsed + 1.0;
-        prop_assert!(
-            (granted as f64) <= bound,
-            "granted {granted} exceeds bound {bound}"
-        );
     }
 
     /// tx_time and bytes_in are mutually consistent for any rate/size.

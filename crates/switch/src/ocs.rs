@@ -86,9 +86,6 @@ pub struct Ocs {
     /// End of the current dark window, if reconfiguring.
     dark_until: Option<SimTime>,
     stats: OcsStats,
-    /// Skip the dark window when the new configuration equals the current
-    /// one (some devices can hold; default false — conservative).
-    skip_identical: bool,
 }
 
 impl Ocs {
@@ -103,14 +100,7 @@ impl Ocs {
             next: Permutation::empty(n),
             dark_until: None,
             stats: OcsStats::default(),
-            skip_identical: false,
         }
-    }
-
-    /// Enables skipping the dark window for identical reconfigurations.
-    pub fn with_skip_identical(mut self, yes: bool) -> Self {
-        self.skip_identical = yes;
-        self
     }
 
     /// Port count.
@@ -132,9 +122,6 @@ impl Ocs {
     /// Panics if the permutation's port count differs from the switch's.
     pub fn configure(&mut self, perm: &Permutation, now: SimTime) -> SimTime {
         assert_eq!(perm.n(), self.n, "configuration port count mismatch");
-        if self.skip_identical && self.dark_until.is_none() && self.active == *perm {
-            return now;
-        }
         let until = now + self.reconfig;
         self.stats.reconfigurations += 1;
         self.stats.dark_time += self.reconfig;
@@ -293,19 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_identical_avoids_dark_window() {
-        let mut ocs = Ocs::new(2, SimDuration::from_millis(1)).with_skip_identical(true);
-        let p = Permutation::identity(2);
-        let first = ocs.configure(&p, t(0));
-        assert_eq!(first, SimTime::from_millis(1));
-        ocs.tick(first);
-        let second = ocs.configure(&p, first);
-        assert_eq!(second, first, "identical config should be a no-op");
-        assert_eq!(ocs.stats().reconfigurations, 1);
-    }
-
-    #[test]
-    fn without_skip_identical_always_pays() {
+    fn identical_reconfiguration_still_pays_the_dark_window() {
         let mut ocs = Ocs::new(2, SimDuration::from_micros(1));
         let p = Permutation::identity(2);
         let first = ocs.configure(&p, t(0));

@@ -24,8 +24,6 @@ pub enum FlowSizeDist {
     DataMining,
     /// All flows the same size.
     Fixed(u64),
-    /// Any custom distribution over bytes.
-    Custom(Dist),
 }
 
 impl FlowSizeDist {
@@ -61,7 +59,6 @@ impl FlowSizeDist {
                 .expect("static CDF is well-formed"),
             ),
             FlowSizeDist::Fixed(b) => Dist::Constant(*b as f64),
-            FlowSizeDist::Custom(d) => d.clone(),
         }
     }
 
@@ -83,7 +80,6 @@ impl FlowSizeDist {
             FlowSizeDist::WebSearch => "websearch",
             FlowSizeDist::DataMining => "datamining",
             FlowSizeDist::Fixed(_) => "fixed",
-            FlowSizeDist::Custom(_) => "custom",
         }
     }
 }
@@ -140,21 +136,8 @@ mod tests {
     }
 
     #[test]
-    fn custom_distribution_is_respected() {
-        let d = FlowSizeDist::Custom(Dist::Uniform {
-            lo: 100.0,
-            hi: 200.0,
-        });
-        let mut rng = SimRng::new(3);
-        for _ in 0..1000 {
-            let s = d.sample_bytes(&mut rng);
-            assert!((100..=200).contains(&s));
-        }
-    }
-
-    #[test]
     fn sizes_are_never_zero() {
-        let d = FlowSizeDist::Custom(Dist::Constant(0.2));
+        let d = FlowSizeDist::Fixed(0);
         let mut rng = SimRng::new(4);
         assert_eq!(d.sample_bytes(&mut rng), 1);
     }

@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (-D warnings: no broken or private intra-doc links)"
+# The vendored proptest subset keeps two ambiguous-link warnings of its
+# own, so it is excluded; every first-party crate must document clean.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest
+
 echo "==> xlint (workspace determinism-contract static analysis)"
 # Zero unwaived findings, and the waiver count is pinned: a new inline
 # `// xlint: allow(...)` waiver anywhere in the tree requires an
@@ -123,6 +128,17 @@ for span in epoch estimate decompose apply probe grant_burst; do
 done
 grep -q 'sched_probes' results/ci_trace.json \
     || { echo "ci.sh: counters columns missing from traced sweep output"; exit 1; }
+
+echo "==> traced grid (a traced sweep over several points writes one trace per point)"
+cargo run --release -q -p xds-bench --bin sweep -- run uniform --loads 0.3,0.6 \
+    --trace --duration-ms 1 --threads 1 --out ci_trace_grid >/dev/null
+for point in load0.30 load0.60; do
+    f="results/ci_trace_grid.uniform_$point.trace.json"
+    [ -s "$f" ] \
+        || { echo "ci.sh: traced grid point $point wrote no trace ($f)"; exit 1; }
+    grep -q '"traceEvents"' "$f" \
+        || { echo "ci.sh: $f is not Chrome Trace Event Format"; exit 1; }
+done
 
 echo "==> counters columns (--counters must add the registry to sweep output)"
 cargo run --release -q -p xds-bench --bin sweep -- run uniform \

@@ -3,11 +3,11 @@
 //!
 //! Contract (enforced here, relied on by `sweep bench` running every
 //! point under the `lean` profile): for every pinned bench point, the
-//! `lean` and `timeseries` profiles produce **exactly** the event count
-//! and delivered bytes of the `full` profile. Full fidelity itself is pinned
-//! byte-for-byte by the golden-trace tests at the workspace root
-//! (`tests/golden_trace.rs`), which run through the same
-//! `SimBuilder`/sink machinery.
+//! `lean` and `timeseries` profiles produce **exactly** the event count,
+//! delivered bytes and per-cause drops of the `full` profile. Full
+//! fidelity itself is pinned byte-for-byte by the golden-trace tests at
+//! the workspace root (`tests/golden_trace.rs`), which run through the
+//! same `SimBuilder` and recorder.
 
 use xds_bench::bench;
 use xds_scenario::{InstrProfile, ScenarioSpec};
@@ -69,8 +69,7 @@ fn lean_profile_matches_full_on_every_bench_point() {
             spec.name
         );
         assert_eq!(
-            full.drops.total(),
-            lean.drops.total(),
+            full.drops, lean.drops,
             "{}: lean changed drop accounting",
             spec.name
         );
@@ -83,7 +82,7 @@ fn lean_profile_matches_full_on_every_bench_point() {
 #[test]
 fn timeseries_profile_observes_without_perturbing() {
     // One fast-mode and the slow-mode point are enough: the timeseries
-    // probe only adds epoch-boundary reads.
+    // profile only adds epoch-boundary reads.
     let picks: Vec<ScenarioSpec> = subset()
         .into_iter()
         .filter(|s| s.name == "uniform/n16" || s.name == "hotspot-sw/n16")

@@ -1,72 +1,36 @@
-//! Instrumentation API v2: pluggable probes and batched delivery sinks.
+//! Run observation: what a simulation records about itself, and how much.
 //!
 //! The paper's evaluation lives and dies on visibility into the epoch
 //! loop — demand-estimation error, circuit duty cycle, FCT distributions
-//! — but recording those must not tax the hot path it observes. This
-//! module separates the two concerns:
+//! — but recording those must not tax the hot path it observes. An
+//! [`Instrumentation`] is the recording state of one run, built from one
+//! of three named [`InstrProfile`]s and wired in through `SimBuilder`:
 //!
-//! * **What is observed** is defined by three small traits. A
-//!   [`DeliverySink`] receives delivered packets *batched per grant
-//!   burst* (one virtual call per slot activation, not per packet), an
-//!   [`EpochProbe`] receives one [`EpochSample`] per scheduler epoch, and
-//!   a [`DropSink`] receives individual drop events (drops are rare by
-//!   construction).
-//! * **How much is recorded** is an [`Instrumentation`] bundle wired in
-//!   through `SimBuilder`. [`Instrumentation::full`] reproduces the
-//!   classic `RunReport` byte-for-byte (the golden traces pin this);
-//!   [`Instrumentation::lean`] skips per-packet histogram/jitter/FCT and
-//!   buffer-peak work for bench runs — simulated behavior (event counts,
-//!   delivered bytes) is *identical*, only the observation cost drops;
-//!   [`Instrumentation::timeseries`] is full fidelity plus an
-//!   epoch-resolution [`EpochSeries`] (demand error, duty cycle, VOQ
-//!   backlog per epoch).
+//! * **`full`** reproduces the classic `RunReport` byte-for-byte (the
+//!   golden traces pin this): per-class latency histograms, RFC 3550
+//!   jitter per app, FCT tracking and the mean demand-estimation error;
+//! * **`lean`** records nothing — simulated behavior (event counts,
+//!   delivered bytes, drops) is *identical*, only the observation cost
+//!   drops;
+//! * **`timeseries`** is `full` plus an epoch-resolution [`EpochSeries`]
+//!   (demand error, duty cycle, VOQ backlog per epoch).
 //!
-//! Custom studies implement one of the traits and plug it in via
-//! [`Instrumentation::custom`] — the runtime itself never needs editing
-//! to grow a new observable.
+//! The runtime hands the recorder each tracked flow start, each delivered
+//! packet in delivery order and one [`EpochSample`] per scheduler epoch,
+//! then takes the report fields from it at the end of the run. Drops are
+//! not observations: the runtime tallies them by [`DropCause`] in its
+//! always-on counters under every profile.
 
 use xds_metrics::{
     EpochRow, EpochSeries, FctStats, FctTracker, LatencyHistogram, Rfc3550Jitter, SizeClass,
 };
-use xds_net::TrafficClass;
+use xds_net::{Packet, TrafficClass};
 use xds_sim::SimTime;
 
-use crate::report::DropStats;
-
 /// Flow ids at or above this are interactive app streams (`flow ==
-/// APP_FLOW_BASE + app index`), not tracked by the FCT machinery. Sinks
-/// use it to split app packets (jitter) from flow packets (FCT).
+/// APP_FLOW_BASE + app index`), not tracked by the FCT machinery. The
+/// recorder uses it to split app packets (jitter) from flow packets (FCT).
 pub const APP_FLOW_BASE: u64 = u64::MAX / 2;
-
-/// Which data plane delivered a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryPath {
-    /// Optical circuit switch (granted bulk).
-    Ocs,
-    /// Electrical packet switch (residual traffic).
-    Eps,
-}
-
-/// One delivered packet, as observed by a [`DeliverySink`].
-///
-/// Records carry explicit timestamps, so batching them per grant burst
-/// changes nothing the sink can observe: per-flow and per-app orders are
-/// the append order, and every latency is `delivered - created`.
-#[derive(Debug, Clone, Copy)]
-pub struct DeliveryRecord {
-    /// Flow id (app streams are `>= APP_FLOW_BASE`).
-    pub flow: u64,
-    /// Packet size in bytes.
-    pub bytes: u32,
-    /// Traffic class the packet was classified into.
-    pub class: TrafficClass,
-    /// Creation (send) timestamp.
-    pub created: SimTime,
-    /// Delivery timestamp at the destination host.
-    pub delivered: SimTime,
-    /// Which data plane carried it.
-    pub via: DeliveryPath,
-}
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,15 +47,6 @@ pub enum DropCause {
     LinkDark,
 }
 
-/// Sizing context handed to sinks when the simulation is assembled.
-#[derive(Debug, Clone, Copy)]
-pub struct SinkCtx {
-    /// Switch port count (= host count).
-    pub n_ports: usize,
-    /// Number of interactive app streams in the workload.
-    pub n_apps: usize,
-}
-
 /// One per-epoch observation of the scheduling loop.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochSample {
@@ -100,22 +55,23 @@ pub struct EpochSample {
     /// Simulated time of the epoch boundary.
     pub at: SimTime,
     /// Relative L1 demand-estimation error (`None` when the ground truth
-    /// was empty, or when the probe declined the sample via
-    /// [`EpochProbe::wants_demand_error`]).
+    /// was empty, or when the run is unobserved and the runtime skipped
+    /// the error pass).
     pub demand_err_rel: Option<f64>,
     /// Ground-truth queued bytes across all pairs at the boundary.
     pub backlog_bytes: u64,
     /// Decision latency charged to this epoch (ns).
     pub decision_ns: u64,
-    /// Cumulative OCS dark time so far (ns) — probes difference
-    /// consecutive samples to derive a per-epoch duty cycle.
+    /// Cumulative OCS dark time so far (ns) — consecutive samples are
+    /// differenced to derive a per-epoch duty cycle.
     pub ocs_dark_ns: u64,
     /// Schedule entries (OCS configurations) the decision produced.
     pub entries: usize,
 }
 
-/// What a delivery sink contributes to the final `RunReport`.
-#[derive(Debug)]
+/// The delivery observables a run contributes to its `RunReport` (all
+/// empty under `lean`).
+#[derive(Debug, Default)]
 pub struct DeliveryMetrics {
     /// One-way latency of interactive packets (ns).
     pub latency_interactive: LatencyHistogram,
@@ -138,322 +94,6 @@ pub struct DeliveryMetrics {
     /// FCT stats over all flows.
     pub fct_overall: Option<FctStats>,
 }
-
-impl DeliveryMetrics {
-    /// The all-empty contribution (what a no-op sink reports).
-    pub fn empty() -> Self {
-        DeliveryMetrics {
-            latency_interactive: LatencyHistogram::new(),
-            latency_short: LatencyHistogram::new(),
-            latency_bulk: LatencyHistogram::new(),
-            voip_jitter_mean_ns: None,
-            voip_jitter_max_ns: None,
-            completed_flows: 0,
-            fct_mice: None,
-            fct_medium: None,
-            fct_elephant: None,
-            fct_overall: None,
-        }
-    }
-}
-
-/// What an epoch probe contributes to the final `RunReport`.
-#[derive(Debug, Default)]
-pub struct EpochMetrics {
-    /// Mean relative L1 demand-estimation error, if sampled.
-    pub demand_error_mean: Option<f64>,
-    /// Epoch-resolution telemetry, if the probe recorded one.
-    pub series: Option<EpochSeries>,
-}
-
-/// Observes delivered packets, batched per grant burst.
-///
-/// The runtime accumulates a slot activation's deliveries (across every
-/// granted pair) into one scratch batch and hands it over in a single
-/// call; EPS and slow-mode deliveries arrive as singleton batches. Within
-/// a batch, records appear in delivery order, so per-flow byte streams
-/// and per-app packet sequences are exactly the classic per-packet order.
-pub trait DeliverySink {
-    /// Called once at build time with sizing context (port/app counts).
-    fn bind(&mut self, ctx: &SinkCtx) {
-        let _ = ctx;
-    }
-
-    /// Whether the runtime should materialize delivery records at all.
-    /// A sink that returns `false` (the lean profile) removes the
-    /// per-packet record construction from the hot path entirely;
-    /// [`DeliverySink::on_batch`] is then never called.
-    fn wants_batches(&self) -> bool {
-        true
-    }
-
-    /// A tracked flow entered the system (FCT start-of-clock).
-    fn on_flow_started(&mut self, flow: u64, bytes: u64, at: SimTime);
-
-    /// A burst of deliveries, in delivery order.
-    fn on_batch(&mut self, batch: &[DeliveryRecord]);
-
-    /// Consumes the recorded state into report contributions.
-    fn finish(&mut self) -> DeliveryMetrics;
-}
-
-/// Observes the scheduling loop once per epoch.
-pub trait EpochProbe {
-    /// Whether the runtime should pay for the ground-truth occupancy
-    /// snapshot and L1 error pass this probe's samples would carry
-    /// (an O(n²) walk per epoch for non-mirror estimators). The lean
-    /// profile declines; `demand_err_rel` then arrives as `None`.
-    fn wants_demand_error(&self) -> bool {
-        true
-    }
-
-    /// One sample per scheduler epoch, in epoch order.
-    fn on_epoch(&mut self, sample: &EpochSample);
-
-    /// Consumes the recorded state into report contributions.
-    fn finish(&mut self) -> EpochMetrics;
-}
-
-/// Observes packet drops (rare by construction — per-event calls).
-pub trait DropSink {
-    /// One drop event.
-    fn on_drop(&mut self, cause: DropCause, at: SimTime);
-
-    /// Consumes the recorded state into the report's drop counters.
-    fn finish(&mut self) -> DropStats;
-}
-
-// ---------------------------------------------------------------------
-// Built-in sinks.
-// ---------------------------------------------------------------------
-
-/// The full-fidelity delivery sink: latency histograms per class, RFC
-/// 3550 jitter per app, FCT tracking — exactly the classic inline
-/// recording, reproduced byte-for-byte (the golden traces pin it).
-#[derive(Debug, Default)]
-pub struct FullDeliverySink {
-    latency_interactive: LatencyHistogram,
-    latency_short: LatencyHistogram,
-    latency_bulk: LatencyHistogram,
-    fct: FctTracker,
-    jitters: Vec<Rfc3550Jitter>,
-}
-
-impl FullDeliverySink {
-    /// An unbound sink; `bind` sizes the per-app jitter estimators.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl DeliverySink for FullDeliverySink {
-    fn bind(&mut self, ctx: &SinkCtx) {
-        self.jitters = (0..ctx.n_apps).map(|_| Rfc3550Jitter::new()).collect();
-    }
-
-    fn on_flow_started(&mut self, flow: u64, bytes: u64, at: SimTime) {
-        self.fct.flow_started(flow, bytes, at);
-    }
-
-    fn on_batch(&mut self, batch: &[DeliveryRecord]) {
-        for r in batch {
-            let lat = r.delivered.saturating_since(r.created).as_nanos();
-            match r.class {
-                TrafficClass::Interactive => {
-                    self.latency_interactive.record(lat);
-                    if r.flow >= APP_FLOW_BASE {
-                        let app = (r.flow - APP_FLOW_BASE) as usize;
-                        if let Some(j) = self.jitters.get_mut(app) {
-                            j.on_packet(r.created, r.delivered);
-                        }
-                    }
-                }
-                TrafficClass::Short => self.latency_short.record(lat),
-                TrafficClass::Bulk => self.latency_bulk.record(lat),
-            }
-            if r.flow < APP_FLOW_BASE {
-                self.fct
-                    .bytes_delivered(r.flow, r.bytes as u64, r.delivered);
-            }
-        }
-    }
-
-    fn finish(&mut self) -> DeliveryMetrics {
-        DeliveryMetrics {
-            completed_flows: self.fct.completed(),
-            fct_mice: self.fct.stats(SizeClass::Mice),
-            fct_medium: self.fct.stats(SizeClass::Medium),
-            fct_elephant: self.fct.stats(SizeClass::Elephant),
-            fct_overall: self.fct.overall(),
-            voip_jitter_mean_ns: (!self.jitters.is_empty()).then(|| {
-                self.jitters.iter().map(|j| j.jitter_ns()).sum::<f64>() / self.jitters.len() as f64
-            }),
-            voip_jitter_max_ns: self
-                .jitters
-                .iter()
-                .map(|j| j.jitter_ns())
-                .fold(None, |acc: Option<f64>, x| {
-                    Some(acc.map_or(x, |a| a.max(x)))
-                }),
-            latency_interactive: std::mem::replace(
-                &mut self.latency_interactive,
-                LatencyHistogram::new(),
-            ),
-            latency_short: std::mem::replace(&mut self.latency_short, LatencyHistogram::new()),
-            latency_bulk: std::mem::replace(&mut self.latency_bulk, LatencyHistogram::new()),
-        }
-    }
-}
-
-/// The lean delivery sink: declines batches entirely, contributes empty
-/// metrics. Simulated behavior is untouched — only observation cost.
-#[derive(Debug, Default)]
-pub struct NullDeliverySink;
-
-impl DeliverySink for NullDeliverySink {
-    fn wants_batches(&self) -> bool {
-        false
-    }
-
-    fn on_flow_started(&mut self, _flow: u64, _bytes: u64, _at: SimTime) {}
-
-    fn on_batch(&mut self, _batch: &[DeliveryRecord]) {}
-
-    fn finish(&mut self) -> DeliveryMetrics {
-        DeliveryMetrics::empty()
-    }
-}
-
-/// The classic epoch probe: accumulates the mean relative L1
-/// demand-estimation error exactly as the pre-v2 runtime did.
-#[derive(Debug, Default)]
-pub struct MeanErrorEpochProbe {
-    err_sum: f64,
-    err_n: u64,
-}
-
-impl MeanErrorEpochProbe {
-    /// A fresh probe.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EpochProbe for MeanErrorEpochProbe {
-    fn on_epoch(&mut self, sample: &EpochSample) {
-        if let Some(e) = sample.demand_err_rel {
-            self.err_sum += e;
-            self.err_n += 1;
-        }
-    }
-
-    fn finish(&mut self) -> EpochMetrics {
-        EpochMetrics {
-            demand_error_mean: (self.err_n > 0).then(|| self.err_sum / self.err_n as f64),
-            series: None,
-        }
-    }
-}
-
-/// The lean epoch probe: declines the demand-error sample (skipping the
-/// per-epoch ground-truth snapshot and L1 pass for non-mirror
-/// estimators) and records nothing.
-#[derive(Debug, Default)]
-pub struct NullEpochProbe;
-
-impl EpochProbe for NullEpochProbe {
-    fn wants_demand_error(&self) -> bool {
-        false
-    }
-
-    fn on_epoch(&mut self, _sample: &EpochSample) {}
-
-    fn finish(&mut self) -> EpochMetrics {
-        EpochMetrics::default()
-    }
-}
-
-/// Epoch-resolution telemetry probe: everything [`MeanErrorEpochProbe`]
-/// records, plus one [`EpochRow`] per epoch — demand error, OCS duty
-/// cycle over the preceding interval, ground-truth VOQ backlog, decision
-/// latency and entry count. The row stream is what `sweep timeseries`
-/// serializes for kilofabric studies.
-#[derive(Debug, Default)]
-pub struct TimeSeriesEpochProbe {
-    mean: MeanErrorEpochProbe,
-    rows: EpochSeries,
-    /// `(at, cumulative dark ns)` of the previous sample.
-    last: Option<(SimTime, u64)>,
-}
-
-impl TimeSeriesEpochProbe {
-    /// A fresh probe.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EpochProbe for TimeSeriesEpochProbe {
-    fn on_epoch(&mut self, sample: &EpochSample) {
-        self.mean.on_epoch(sample);
-        let duty_cycle = self.last.and_then(|(t0, dark0)| {
-            let dt = sample.at.saturating_since(t0).as_nanos();
-            (dt > 0).then(|| {
-                let dark = sample.ocs_dark_ns.saturating_sub(dark0);
-                (1.0 - dark as f64 / dt as f64).clamp(0.0, 1.0)
-            })
-        });
-        self.rows.push(EpochRow {
-            epoch: sample.epoch,
-            at: sample.at,
-            demand_err_rel: sample.demand_err_rel,
-            duty_cycle,
-            backlog_bytes: sample.backlog_bytes,
-            decision_ns: sample.decision_ns,
-            entries: sample.entries as u32,
-        });
-        self.last = Some((sample.at, sample.ocs_dark_ns));
-    }
-
-    fn finish(&mut self) -> EpochMetrics {
-        let mut m = self.mean.finish();
-        m.series = Some(std::mem::take(&mut self.rows));
-        m
-    }
-}
-
-/// Counts drops by cause (used by every built-in profile — a drop is one
-/// integer add, so even lean keeps the tally).
-#[derive(Debug, Default)]
-pub struct CountingDropSink {
-    drops: DropStats,
-}
-
-impl CountingDropSink {
-    /// A fresh counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl DropSink for CountingDropSink {
-    fn on_drop(&mut self, cause: DropCause, _at: SimTime) {
-        match cause {
-            DropCause::VoqFull => self.drops.voq_full += 1,
-            DropCause::EpsFull => self.drops.eps_full += 1,
-            DropCause::SyncViolation => self.drops.sync_violation += 1,
-            DropCause::LinkDark => self.drops.link_dark += 1,
-        }
-    }
-
-    fn finish(&mut self) -> DropStats {
-        self.drops
-    }
-}
-
-// ---------------------------------------------------------------------
-// Bundles.
-// ---------------------------------------------------------------------
 
 /// A named instrumentation profile, as plain data — the declarative form
 /// of [`Instrumentation`] that scenario specs and CLIs carry.
@@ -489,173 +129,212 @@ impl InstrProfile {
         })
     }
 
-    /// Materializes the bundle this profile names.
+    /// The recording state this profile names, fresh for one run.
     pub fn instrumentation(self) -> Instrumentation {
-        match self {
-            InstrProfile::Full => Instrumentation::full(),
-            InstrProfile::Lean => Instrumentation::lean(),
-            InstrProfile::TimeSeries => Instrumentation::timeseries(),
+        let observed = self != InstrProfile::Lean;
+        Instrumentation {
+            delivery: observed.then(DeliveryState::default),
+            epoch: observed.then(|| EpochState {
+                series: (self == InstrProfile::TimeSeries).then(EpochSeries::default),
+                ..EpochState::default()
+            }),
         }
     }
 }
 
-/// The instrumentation bundle a simulation is built with: one sink per
-/// observation family plus the buffer-peak switch. Construct via
-/// [`full`](Self::full) / [`lean`](Self::lean) /
-/// [`timeseries`](Self::timeseries), or [`custom`](Self::custom) to plug
-/// in study-specific sinks.
+/// The recording state of one run. Build it with
+/// [`InstrProfile::instrumentation`] and hand it to
+/// `SimBuilder::instrumentation`. Both parts are `None` under `lean`, so
+/// an unobserved run does no recording work at all.
+///
+/// To add an observable, add a field to one part and a line to
+/// `delivered` or `epoch`; the runtime needs no edit unless the
+/// observable reaches neither call.
+#[derive(Debug)]
 pub struct Instrumentation {
-    pub(crate) delivery: Box<dyn DeliverySink>,
-    pub(crate) epoch: Box<dyn EpochProbe>,
-    pub(crate) drops: Box<dyn DropSink>,
-    pub(crate) track_buffers: bool,
+    delivery: Option<DeliveryState>,
+    epoch: Option<EpochState>,
 }
 
-impl std::fmt::Debug for Instrumentation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Instrumentation")
-            .field("track_buffers", &self.track_buffers)
-            .finish_non_exhaustive()
-    }
+/// Per-packet observation: latency by class, FCT, per-app jitter.
+#[derive(Debug, Default)]
+struct DeliveryState {
+    latency_interactive: LatencyHistogram,
+    latency_short: LatencyHistogram,
+    latency_bulk: LatencyHistogram,
+    fct: FctTracker,
+    /// Indexed by app; grown as apps deliver, padded to the app count at
+    /// the end so an app that never delivered still counts (at zero).
+    jitters: Vec<Rfc3550Jitter>,
+}
+
+/// Per-epoch observation: the demand-error mean, plus the row series
+/// under `timeseries`.
+#[derive(Debug, Default)]
+struct EpochState {
+    err_sum: f64,
+    err_n: u64,
+    series: Option<EpochSeries>,
+    /// `(at, cumulative dark ns)` of the previous sample.
+    last: Option<(SimTime, u64)>,
 }
 
 impl Instrumentation {
-    /// Full fidelity (the default): reproduces the classic report
-    /// byte-for-byte.
-    pub fn full() -> Self {
-        Instrumentation {
-            delivery: Box::new(FullDeliverySink::new()),
-            epoch: Box::new(MeanErrorEpochProbe::new()),
-            drops: Box::new(CountingDropSink::new()),
-            track_buffers: true,
+    /// Whether this run records anything (false under `lean`). The
+    /// runtime resolves it once at build into its one observation flag,
+    /// which also gates buffer-peak accounting and the demand-error pass.
+    pub(crate) fn observes(&self) -> bool {
+        self.delivery.is_some()
+    }
+
+    /// A tracked flow entered the system (FCT start-of-clock).
+    pub(crate) fn flow_started(&mut self, flow: u64, bytes: u64, at: SimTime) {
+        if let Some(d) = &mut self.delivery {
+            d.fct.flow_started(flow, bytes, at);
         }
     }
 
-    /// Bench mode: no per-packet histogram/jitter/FCT work, no
-    /// buffer-peak radix traffic, no per-epoch error pass. Event counts
-    /// and delivered bytes are identical to [`full`](Self::full).
-    pub fn lean() -> Self {
-        Instrumentation {
-            delivery: Box::new(NullDeliverySink),
-            epoch: Box::new(NullEpochProbe),
-            drops: Box::new(CountingDropSink::new()),
-            track_buffers: false,
+    /// A packet reached its destination host at `at`. Called in delivery
+    /// order, so per-flow byte streams and per-app packet sequences are
+    /// exactly the simulated order.
+    pub(crate) fn delivered(&mut self, pkt: &Packet, at: SimTime) {
+        let Some(d) = &mut self.delivery else {
+            return;
+        };
+        let lat = at.saturating_since(pkt.created).as_nanos();
+        match pkt.class {
+            TrafficClass::Interactive => {
+                d.latency_interactive.record(lat);
+                if pkt.flow >= APP_FLOW_BASE {
+                    let app = (pkt.flow - APP_FLOW_BASE) as usize;
+                    if app >= d.jitters.len() {
+                        d.jitters.resize_with(app + 1, Rfc3550Jitter::new);
+                    }
+                    d.jitters[app].on_packet(pkt.created, at);
+                }
+            }
+            TrafficClass::Short => d.latency_short.record(lat),
+            TrafficClass::Bulk => d.latency_bulk.record(lat),
+        }
+        if pkt.flow < APP_FLOW_BASE {
+            d.fct.bytes_delivered(pkt.flow, pkt.bytes as u64, at);
         }
     }
 
-    /// Full fidelity plus the per-epoch telemetry series.
-    pub fn timeseries() -> Self {
-        Instrumentation {
-            delivery: Box::new(FullDeliverySink::new()),
-            epoch: Box::new(TimeSeriesEpochProbe::new()),
-            drops: Box::new(CountingDropSink::new()),
-            track_buffers: true,
+    /// One sample per scheduler epoch, in epoch order.
+    pub(crate) fn epoch(&mut self, s: &EpochSample) {
+        let Some(e) = &mut self.epoch else {
+            return;
+        };
+        if let Some(err) = s.demand_err_rel {
+            e.err_sum += err;
+            e.err_n += 1;
         }
+        let Some(series) = &mut e.series else {
+            return;
+        };
+        let duty_cycle = e.last.and_then(|(t0, dark0)| {
+            let dt = s.at.saturating_since(t0).as_nanos();
+            (dt > 0).then(|| {
+                let dark = s.ocs_dark_ns.saturating_sub(dark0);
+                (1.0 - dark as f64 / dt as f64).clamp(0.0, 1.0)
+            })
+        });
+        series.push(EpochRow {
+            epoch: s.epoch,
+            at: s.at,
+            demand_err_rel: s.demand_err_rel,
+            duty_cycle,
+            backlog_bytes: s.backlog_bytes,
+            decision_ns: s.decision_ns,
+            entries: s.entries as u32,
+        });
+        e.last = Some((s.at, s.ocs_dark_ns));
     }
 
-    /// A bundle from explicit sinks (study-specific instrumentation).
-    pub fn custom(
-        delivery: Box<dyn DeliverySink>,
-        epoch: Box<dyn EpochProbe>,
-        drops: Box<dyn DropSink>,
-    ) -> Self {
-        Instrumentation {
-            delivery,
-            epoch,
-            drops,
-            track_buffers: true,
+    /// Consumes the recording into report fields: the delivery
+    /// observables, the mean demand-estimation error and the epoch
+    /// series. `n_apps` is the workload's app count.
+    pub(crate) fn finish(
+        self,
+        n_apps: usize,
+    ) -> (DeliveryMetrics, Option<f64>, Option<EpochSeries>) {
+        let delivery = self
+            .delivery
+            .map_or_else(DeliveryMetrics::default, |mut d| {
+                d.jitters.resize_with(n_apps, Rfc3550Jitter::new);
+                let jitter = |j: &Rfc3550Jitter| j.jitter_ns();
+                DeliveryMetrics {
+                    completed_flows: d.fct.completed(),
+                    fct_mice: d.fct.stats(SizeClass::Mice),
+                    fct_medium: d.fct.stats(SizeClass::Medium),
+                    fct_elephant: d.fct.stats(SizeClass::Elephant),
+                    fct_overall: d.fct.overall(),
+                    voip_jitter_mean_ns: (n_apps > 0)
+                        .then(|| d.jitters.iter().map(jitter).sum::<f64>() / n_apps as f64),
+                    voip_jitter_max_ns: d.jitters.iter().map(jitter).reduce(f64::max),
+                    latency_interactive: d.latency_interactive,
+                    latency_short: d.latency_short,
+                    latency_bulk: d.latency_bulk,
+                }
+            });
+        match self.epoch {
+            Some(e) => {
+                let mean = (e.err_n > 0).then(|| e.err_sum / e.err_n as f64);
+                (delivery, mean, e.series)
+            }
+            None => (delivery, None, None),
         }
-    }
-
-    /// Replaces the delivery sink.
-    pub fn with_delivery(mut self, sink: Box<dyn DeliverySink>) -> Self {
-        self.delivery = sink;
-        self
-    }
-
-    /// Replaces the epoch probe.
-    pub fn with_epoch_probe(mut self, probe: Box<dyn EpochProbe>) -> Self {
-        self.epoch = probe;
-        self
-    }
-
-    /// Replaces the drop sink.
-    pub fn with_drops(mut self, sink: Box<dyn DropSink>) -> Self {
-        self.drops = sink;
-        self
-    }
-
-    /// Enables/disables host- and switch-buffer peak tracking (the
-    /// radix-queue release accounting).
-    pub fn with_buffer_tracking(mut self, on: bool) -> Self {
-        self.track_buffers = on;
-        self
-    }
-}
-
-impl Default for Instrumentation {
-    fn default() -> Self {
-        Instrumentation::full()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xds_net::PortNo;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
     }
 
-    fn rec(
-        flow: u64,
-        bytes: u32,
-        class: TrafficClass,
-        created: u64,
-        delivered: u64,
-    ) -> DeliveryRecord {
-        DeliveryRecord {
-            flow,
-            bytes,
-            class,
-            created: t(created),
-            delivered: t(delivered),
-            via: DeliveryPath::Ocs,
-        }
+    fn pkt(flow: u64, bytes: u32, class: TrafficClass, created: u64) -> Packet {
+        Packet::new(flow, PortNo(0), PortNo(1), bytes, class, t(created), 0)
     }
 
     #[test]
-    fn full_sink_tracks_latency_jitter_and_fct() {
-        let mut s = FullDeliverySink::new();
-        s.bind(&SinkCtx {
-            n_ports: 4,
-            n_apps: 1,
-        });
-        assert!(s.wants_batches());
-        s.on_flow_started(1, 3000, t(0));
-        s.on_batch(&[
-            rec(1, 1500, TrafficClass::Bulk, 0, 1000),
-            rec(1, 1500, TrafficClass::Bulk, 0, 2000),
-            rec(APP_FLOW_BASE, 200, TrafficClass::Interactive, 100, 400),
-            rec(APP_FLOW_BASE, 200, TrafficClass::Interactive, 300, 900),
-        ]);
-        let m = s.finish();
+    fn full_profile_tracks_latency_jitter_and_fct() {
+        let mut s = InstrProfile::Full.instrumentation();
+        assert!(s.observes());
+        s.flow_started(1, 3000, t(0));
+        s.delivered(&pkt(1, 1500, TrafficClass::Bulk, 0), t(1000));
+        s.delivered(&pkt(1, 1500, TrafficClass::Bulk, 0), t(2000));
+        let voip = APP_FLOW_BASE;
+        s.delivered(&pkt(voip, 200, TrafficClass::Interactive, 100), t(400));
+        s.delivered(&pkt(voip, 200, TrafficClass::Interactive, 300), t(900));
+        let (m, err, series) = s.finish(1);
         assert_eq!(m.completed_flows, 1);
         assert_eq!(m.latency_bulk.count(), 2);
         assert_eq!(m.latency_interactive.count(), 2);
         assert!(m.voip_jitter_mean_ns.is_some());
         assert!(m.fct_overall.is_some());
+        assert_eq!(err, None, "no epoch sampled");
+        assert!(series.is_none(), "full records no series");
     }
 
     #[test]
-    fn null_sink_declines_batches_and_reports_empty() {
-        let mut s = NullDeliverySink;
-        assert!(!s.wants_batches());
-        s.on_flow_started(1, 10, t(0));
-        let m = s.finish();
+    fn lean_profile_records_nothing() {
+        let mut s = InstrProfile::Lean.instrumentation();
+        assert!(!s.observes());
+        s.flow_started(1, 10, t(0));
+        s.delivered(&pkt(1, 10, TrafficClass::Bulk, 0), t(5));
+        s.epoch(&sample(0, 0, Some(0.5), 0));
+        let (m, err, series) = s.finish(1);
         assert_eq!(m.completed_flows, 0);
         assert!(m.latency_bulk.is_empty());
         assert!(m.fct_overall.is_none());
+        assert_eq!(m.voip_jitter_mean_ns, None);
+        assert_eq!(err, None);
+        assert!(series.is_none());
     }
 
     fn sample(epoch: u64, at_ns: u64, err: Option<f64>, dark_ns: u64) -> EpochSample {
@@ -671,44 +350,31 @@ mod tests {
     }
 
     #[test]
-    fn mean_error_probe_matches_hand_sum() {
-        let mut p = MeanErrorEpochProbe::new();
-        p.on_epoch(&sample(0, 0, None, 0));
-        p.on_epoch(&sample(1, 1000, Some(0.5), 0));
-        p.on_epoch(&sample(2, 2000, Some(0.25), 0));
-        let m = p.finish();
-        assert_eq!(m.demand_error_mean, Some(0.375));
-        assert!(m.series.is_none());
+    fn full_profile_mean_error_matches_hand_sum() {
+        let mut s = InstrProfile::Full.instrumentation();
+        s.epoch(&sample(0, 0, None, 0));
+        s.epoch(&sample(1, 1000, Some(0.5), 0));
+        s.epoch(&sample(2, 2000, Some(0.25), 0));
+        let (_, err, series) = s.finish(0);
+        assert_eq!(err, Some(0.375));
+        assert!(series.is_none());
     }
 
     #[test]
-    fn timeseries_probe_derives_duty_cycle_between_samples() {
-        let mut p = TimeSeriesEpochProbe::new();
+    fn timeseries_profile_derives_duty_cycle_between_samples() {
+        let mut s = InstrProfile::TimeSeries.instrumentation();
         // 1000 ns apart; 100 ns of new darkness per interval → duty 0.9.
-        p.on_epoch(&sample(0, 0, Some(0.0), 0));
-        p.on_epoch(&sample(1, 1000, Some(0.0), 100));
-        p.on_epoch(&sample(2, 2000, None, 200));
-        let m = p.finish();
-        let series = m.series.expect("timeseries probe records rows");
+        s.epoch(&sample(0, 0, Some(0.0), 0));
+        s.epoch(&sample(1, 1000, Some(0.0), 100));
+        s.epoch(&sample(2, 2000, None, 200));
+        let (_, err, series) = s.finish(0);
+        let series = series.expect("timeseries profile records rows");
         assert_eq!(series.len(), 3);
         assert_eq!(series.rows()[0].duty_cycle, None, "no interval yet");
         let d1 = series.rows()[1].duty_cycle.unwrap();
         assert!((d1 - 0.9).abs() < 1e-12, "duty {d1}");
         assert_eq!(series.rows()[2].demand_err_rel, None);
-        assert_eq!(m.demand_error_mean, Some(0.0));
-    }
-
-    #[test]
-    fn counting_drop_sink_tallies_by_cause() {
-        let mut s = CountingDropSink::new();
-        s.on_drop(DropCause::VoqFull, t(1));
-        s.on_drop(DropCause::VoqFull, t(2));
-        s.on_drop(DropCause::SyncViolation, t(3));
-        let d = s.finish();
-        assert_eq!(d.voq_full, 2);
-        assert_eq!(d.eps_full, 0);
-        assert_eq!(d.sync_violation, 1);
-        assert_eq!(d.total(), 3);
+        assert_eq!(err, Some(0.0));
     }
 
     #[test]

@@ -45,10 +45,7 @@ pub mod trace;
 pub use config::{NodeConfig, Placement};
 pub use demand::{DemandEstimator, DemandMatrix, SchedRequest};
 pub use fault::{FaultPlan, LinkFaultSpec, MisfireSpec, StallSpec};
-pub use instrument::{
-    DeliveryPath, DeliveryRecord, DeliverySink, DropCause, DropSink, EpochProbe, EpochSample,
-    InstrProfile, Instrumentation, SinkCtx,
-};
+pub use instrument::{DropCause, EpochSample, InstrProfile, Instrumentation};
 pub use node::{MatrixCycle, Workload};
 pub use pool::{PacketPool, PktFifo};
 pub use report::{MetricValue, RunReport};

@@ -208,7 +208,8 @@ impl ProcessingLogic {
     /// Writes the occupancy of the rows this bank owns into `out`,
     /// overwriting every cell of those rows and leaving the rest alone.
     /// A set of shards whose row windows partition the fabric covers the
-    /// whole matrix exactly once, reproducing [`occupancy_into`].
+    /// whole matrix exactly once, reproducing
+    /// [`occupancy_into`](Self::occupancy_into).
     pub fn occupancy_rows_into(&self, out: &mut DemandMatrix) {
         if self.rows.is_none() {
             return self.occupancy_into(out);

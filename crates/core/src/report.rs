@@ -135,16 +135,13 @@ pub struct RunReport {
     /// [`trace_json`](Self::trace_json).
     pub chrome_trace: Option<String>,
 
-    /// Whether a delivery sink actually observed this run (false under
-    /// the `lean` profile). When false, the latency/FCT fields above are
+    /// Whether the run was observed (false under the `lean` profile).
+    /// When false, the latency/FCT and peak-buffer fields above are
     /// *unmeasured*, not zero, and [`metric_columns`](Self::metric_columns)
     /// renders them as `null` so lean rows cannot be mistaken for
     /// "measured zero". Excluded from `trace_json` (goldens always run
     /// full fidelity).
-    pub measured_deliveries: bool,
-    /// Whether buffer-peak accounting ran (false under `lean`): when
-    /// false the peak-buffer fields are unmeasured, not zero.
-    pub measured_buffers: bool,
+    pub measured: bool,
 }
 
 /// Wall-clock nanoseconds the simulator spent in each phase of the
@@ -220,9 +217,9 @@ impl MetricValue {
 
 impl RunReport {
     /// An all-zero report skeleton for the given identity: every counter
-    /// zero, every histogram empty, every optional absent, observation
-    /// flags set to "measured". The exact runtime fills its bundle
-    /// incrementally; synthetic producers (the `xds-estimate` fidelity
+    /// zero, every histogram empty, every optional absent, the
+    /// observation flag set to "measured". The exact runtime fills its
+    /// bundle incrementally; synthetic producers (the `xds-estimate` fidelity
     /// tier, test fixtures) start from this skeleton so adding a report
     /// field breaks exactly one constructor.
     pub fn skeleton(
@@ -263,8 +260,7 @@ impl RunReport {
             timeseries: None,
             counters: CounterSet::default(),
             chrome_trace: None,
-            measured_deliveries: true,
-            measured_buffers: true,
+            measured: true,
         }
     }
 
@@ -448,20 +444,7 @@ impl RunReport {
         // Observation-derived columns render as absent (`null`/empty)
         // when their recorder did not run: a lean row must not read as
         // "measured zero latency / zero buffering".
-        let obs = |v: u64| {
-            if self.measured_deliveries {
-                V::OptU64(Some(v))
-            } else {
-                V::OptU64(None)
-            }
-        };
-        let buf = |v: u64| {
-            if self.measured_buffers {
-                V::OptU64(Some(v))
-            } else {
-                V::OptU64(None)
-            }
-        };
+        let obs = |v: u64| V::OptU64(self.measured.then_some(v));
         vec![
             ("events", V::U64(self.events)),
             ("offered_bytes", V::U64(self.offered_bytes)),
@@ -487,8 +470,8 @@ impl RunReport {
             ("drops_eps", V::U64(self.drops.eps_full)),
             ("drops_sync", V::U64(self.drops.sync_violation)),
             ("drops_link_dark", V::U64(self.drops.link_dark)),
-            ("peak_host_buffer", buf(self.peak_host_buffer)),
-            ("peak_switch_buffer", buf(self.peak_switch_buffer)),
+            ("peak_host_buffer", obs(self.peak_host_buffer)),
+            ("peak_switch_buffer", obs(self.peak_switch_buffer)),
             ("ocs_reconfigurations", V::U64(self.ocs.reconfigurations)),
             ("decisions", V::U64(self.decisions)),
             (

@@ -12,19 +12,20 @@
 //!
 //! There is one event loop, shaped like the paper's switch: a
 //! **coordinator** owns the central scheduler, the estimator, the OCS/EPS,
-//! the instrumentation sinks and the buffer tracker, and **K port-group
+//! the run's recorder and the buffer tracker, and **K port-group
 //! shards** own the hosts and the switch's VOQ rows (the `shard` child
 //! module runs it). A build without [`SimBuilder::shards`] is K = 1: one
 //! shard owning every port. This module holds the coordinator's state,
 //! its events and the end-of-run report, plus the builder. Every handler
 //! is a match arm over a private event enum (no interior mutability).
 //!
-//! Metric recording is **not** inlined here: the runtime hands batched
-//! [`DeliveryRecord`]s, per-epoch [`EpochSample`]s and drop events to the
-//! [`Instrumentation`] bundle the simulation was built with (see
+//! Metric recording is **not** inlined here: the runtime hands flow
+//! starts, delivered packets and per-epoch [`EpochSample`]s to the
+//! [`Instrumentation`] the simulation was built with (see
 //! [`crate::instrument`]), so observables grow without touching the hot
-//! path. Simulations are assembled with [`SimBuilder`], which returns a
-//! typed [`BuildError`] instead of panicking on bad input.
+//! path, and tallies drops by cause in its always-on [`CounterSet`].
+//! Simulations are assembled with [`SimBuilder`], which returns a typed
+//! [`BuildError`] instead of panicking on bad input.
 
 use xds_net::{Packet, TrafficClass};
 use xds_sim::{EventQueue, SimDuration, SimRng, SimTime, TxTimeCache};
@@ -34,14 +35,11 @@ use xds_traffic::{packet_sizes, FlowSpec};
 use crate::config::{NodeConfig, Placement};
 use crate::demand::{DemandEstimator, DemandMatrix, MirrorEstimator, SchedRequest};
 use crate::fault::{FaultPlan, FaultState, SlotFault};
-use crate::instrument::{
-    DeliveryPath, DeliveryRecord, DeliverySink, DropCause, DropSink, EpochProbe, EpochSample,
-    Instrumentation, SinkCtx, APP_FLOW_BASE,
-};
+use crate::instrument::{DropCause, EpochSample, InstrProfile, Instrumentation, APP_FLOW_BASE};
 use crate::node::Workload;
 use crate::pool::{PacketPool, PktFifo};
 use crate::processing::ProcessingLogic;
-use crate::report::{EpochPhaseNs, RunReport};
+use crate::report::{DropStats, EpochPhaseNs, RunReport};
 use crate::sched::{Schedule, ScheduleCtx, Scheduler};
 use crate::switching::SwitchingLogic;
 use crate::trace::TraceRecorder;
@@ -54,7 +52,7 @@ mod shard;
 pub use shard::{ShardExec, ShardMap};
 
 /// Coordinator events: the ones whose handlers read or write state shared
-/// across port groups (scheduler, OCS/EPS, sinks, RNG). Shard-local
+/// across port groups (scheduler, OCS/EPS, recorder, RNG). Shard-local
 /// events are the shard module's own enum.
 ///
 /// Deliberately **not** `Clone`: nothing on the hot path may copy an
@@ -228,21 +226,15 @@ struct SimState {
     decisions: u64,
     decision_ns_sum: u128,
 
-    // Pluggable observation (see `crate::instrument`). The capability
-    // flags are resolved once at build so the per-packet path tests a
-    // bool, never a vtable.
-    delivery_sink: Box<dyn DeliverySink>,
-    epoch_probe: Box<dyn EpochProbe>,
-    drop_sink: Box<dyn DropSink>,
-    /// Cached `delivery_sink.wants_batches()`.
-    want_deliveries: bool,
-    /// Cached `epoch_probe.wants_demand_error()`.
-    want_demand_error: bool,
-    /// Whether buffer-peak accounting (the radix release queue) runs.
-    track_buffers: bool,
-    /// Delivery records accumulated across one grant burst (or one EPS /
-    /// slow-mode delivery) and flushed to the sink as a single batch.
-    delivery_scratch: Vec<DeliveryRecord>,
+    /// The run's recorder (see `crate::instrument`).
+    instr: Instrumentation,
+    /// Whether the run is observed (false under `lean`), resolved once
+    /// at build: it gates delivery recording, buffer-peak accounting
+    /// (the radix release queue) and the non-mirror demand-error pass.
+    observed: bool,
+    /// Whether the running handler has recorded an observed delivery
+    /// that [`flush_deliveries`](Self::flush_deliveries) has not closed.
+    delivery_group_open: bool,
 
     /// Wall-clock split of the epoch path (estimate / decompose /
     /// apply), accumulated with `Instant` around the three phases. The
@@ -267,34 +259,21 @@ impl SimState {
         class == TrafficClass::Bulk || (self.cfg.voip_on_ocs && class == TrafficClass::Interactive)
     }
 
-    /// Books a delivery: the exact byte counters update inline (they are
-    /// profile-invariant), the observation — latency, jitter, FCT — is
-    /// deferred into the burst batch handed to the delivery sink by
-    /// [`flush_deliveries`](Self::flush_deliveries).
-    fn record_delivery(&mut self, pkt: &Packet, at: SimTime, via: DeliveryPath) {
-        match via {
-            DeliveryPath::Ocs => self.delivered_ocs += pkt.bytes as u64,
-            DeliveryPath::Eps => self.delivered_eps += pkt.bytes as u64,
-        }
-        if self.want_deliveries {
-            self.delivery_scratch.push(DeliveryRecord {
-                flow: pkt.flow,
-                bytes: pkt.bytes,
-                class: pkt.class,
-                created: pkt.created,
-                delivered: at,
-                via,
-            });
+    /// Observes a delivery (latency, jitter, FCT) when the run is
+    /// observed. The caller books the bytes: those counters are
+    /// profile-invariant.
+    fn record_delivery(&mut self, pkt: &Packet, at: SimTime) {
+        if self.observed {
+            self.instr.delivered(pkt, at);
+            self.delivery_group_open = true;
         }
     }
 
-    /// Hands the accumulated burst to the delivery sink (one virtual
-    /// call per grant burst, not per packet) and resets the scratch.
+    /// Closes the handler's delivery group: `delivery_batches` counts
+    /// one per handler that recorded an observed delivery.
     fn flush_deliveries(&mut self) {
-        if !self.delivery_scratch.is_empty() {
+        if std::mem::take(&mut self.delivery_group_open) {
             self.counters.delivery_batches += 1;
-            self.delivery_sink.on_batch(&self.delivery_scratch);
-            self.delivery_scratch.clear();
         }
     }
 
@@ -375,7 +354,7 @@ impl std::fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// Assembles a [`HybridSim`]: configuration, workload, scheduling logic
-/// and an [`Instrumentation`] bundle, validated into a typed
+/// and an [`Instrumentation`], validated into a typed
 /// [`BuildError`] instead of a panic.
 ///
 /// ```
@@ -420,7 +399,7 @@ impl SimBuilder {
             workload: Workload::apps_only(Vec::new()),
             scheduler: None,
             estimator: None,
-            instr: Instrumentation::full(),
+            instr: InstrProfile::Full.instrumentation(),
             trace: false,
             shards: 1,
             shard_map: None,
@@ -482,8 +461,8 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the instrumentation bundle (defaults to
-    /// [`Instrumentation::full`]).
+    /// Sets the run's recorder (defaults to the `full` profile's; see
+    /// [`InstrProfile::instrumentation`]).
     pub fn instrumentation(mut self, instr: Instrumentation) -> Self {
         self.instr = instr;
         self
@@ -509,7 +488,7 @@ impl SimBuilder {
             workload,
             scheduler,
             estimator,
-            mut instr,
+            instr,
             trace,
             shards,
             shard_map,
@@ -581,12 +560,6 @@ impl SimBuilder {
         let faults = faults
             .filter(|p| p.is_active())
             .map(|p| FaultState::new(p, rng.fork(), n));
-        instr.delivery.bind(&SinkCtx {
-            n_ports: n,
-            n_apps: workload.apps.len(),
-        });
-        let want_deliveries = instr.delivery.wants_batches();
-        let want_demand_error = instr.epoch.wants_demand_error();
         let estimator_is_mirror = estimator.mirrors_occupancy();
         let state = SimState {
             switching: SwitchingLogic::new(n, cfg.reconfig, cfg.eps_rate, cfg.eps_buffer),
@@ -621,13 +594,9 @@ impl SimBuilder {
             delivered_eps: 0,
             decisions: 0,
             decision_ns_sum: 0,
-            delivery_sink: instr.delivery,
-            epoch_probe: instr.epoch,
-            drop_sink: instr.drops,
-            want_deliveries,
-            want_demand_error,
-            track_buffers: instr.track_buffers,
-            delivery_scratch: Vec::new(),
+            observed: instr.observes(),
+            instr,
+            delivery_group_open: false,
             phases: EpochPhaseNs::default(),
             counters: CounterSet::default(),
             trace: trace.then(TraceRecorder::new),
@@ -670,25 +639,26 @@ impl SimState {
     fn into_report(self, events: u64, end_time: SimTime, horizon: SimTime) -> RunReport {
         let mut st = self;
         debug_assert!(
-            st.delivery_scratch.is_empty(),
-            "every handler flushes its delivery batch"
+            !st.delivery_group_open,
+            "every handler closes its delivery group"
         );
-        let delivery = st.delivery_sink.finish();
-        let epoch = st.epoch_probe.finish();
-        let drops = st.drop_sink.finish();
+        let (delivery, demand_error_mean, timeseries) = st.instr.finish(st.apps.len());
         // Close a still-open degraded interval at the run boundary and
-        // harvest the fault/drop ledgers into the counter registry (the
-        // per-cause tallies ride `--counters` output this way).
+        // harvest it into the counter registry.
         let fault_degraded_ns = match &mut st.faults {
             Some(fs) => fs.finalize_degraded_ns(end_time.max(horizon)),
             None => 0,
         };
         st.counters.fault_degraded_ns_max =
             st.counters.fault_degraded_ns_max.max(fault_degraded_ns);
-        st.counters.drop_voq_full = drops.voq_full;
-        st.counters.drop_eps_full = drops.eps_full;
-        st.counters.drop_sync_violation = drops.sync_violation;
-        st.counters.drop_link_dark = drops.link_dark;
+        // The counters are the one drop ledger; the report's view is
+        // derived from them.
+        let drops = DropStats {
+            voq_full: st.counters.drop_voq_full,
+            eps_full: st.counters.drop_eps_full,
+            sync_violation: st.counters.drop_sync_violation,
+            link_dark: st.counters.drop_link_dark,
+        };
         RunReport {
             scheduler: st.scheduler.name().to_string(),
             placement: st.cfg.placement.label().to_string(),
@@ -721,15 +691,14 @@ impl SimState {
             } else {
                 st.decision_ns_sum as f64 / st.decisions as f64
             },
-            demand_error_mean: epoch.demand_error_mean,
+            demand_error_mean,
             fault_degraded_ns,
             fault_failover_bytes: st.counters.fault_failover_bytes,
             phases: st.phases,
-            timeseries: epoch.series,
+            timeseries,
             counters: st.counters,
             chrome_trace: st.trace.map(|t| t.to_chrome_json()),
-            measured_deliveries: st.want_deliveries,
-            measured_buffers: st.track_buffers,
+            measured: st.observed,
         }
     }
 }
@@ -1248,17 +1217,17 @@ mod tests {
 
     #[test]
     fn lean_profile_matches_full_events_and_bytes_exactly() {
-        let run = |instr: Instrumentation| {
+        let run = |profile: InstrProfile| {
             SimBuilder::new(hw_cfg(4))
                 .workload(flows(4, 0.5, 21))
                 .scheduler(Box::new(IslipScheduler::new(4, 3)))
-                .instrumentation(instr)
+                .instrumentation(profile.instrumentation())
                 .build()
                 .expect("builds")
                 .run(SimTime::from_millis(5))
         };
-        let full = run(Instrumentation::full());
-        let lean = run(Instrumentation::lean());
+        let full = run(InstrProfile::Full);
+        let lean = run(InstrProfile::Lean);
         // Simulated behavior is profile-invariant…
         assert_eq!(full.events, lean.events);
         assert_eq!(full.delivered_ocs_bytes, lean.delivered_ocs_bytes);
@@ -1272,6 +1241,95 @@ mod tests {
         assert_eq!(lean.peak_switch_buffer, 0);
         assert_eq!(lean.demand_error_mean, None);
         assert!(full.peak_switch_buffer > 0);
+        assert!(full.counters.delivery_batches > 0);
+        assert_eq!(lean.counters.delivery_batches, 0, "lean records no groups");
+    }
+
+    /// Runs one configuration under the `full` and `lean` profiles,
+    /// asserts both count the same drops, and returns the full run.
+    fn run_both_profiles(mk: impl Fn() -> SimBuilder, ms: u64) -> RunReport {
+        let run = |profile: InstrProfile| {
+            mk().instrumentation(profile.instrumentation())
+                .build()
+                .expect("builds")
+                .run(SimTime::from_millis(ms))
+        };
+        let full = run(InstrProfile::Full);
+        assert_eq!(
+            full.drops,
+            run(InstrProfile::Lean).drops,
+            "lean moved drops"
+        );
+        full
+    }
+
+    #[test]
+    fn every_drop_cause_reaches_the_report_and_the_counters() {
+        let n = 4;
+        let voq = run_both_profiles(
+            || {
+                // 150 KB flows into 20 KB switch VOQs.
+                let mut cfg = hw_cfg(n);
+                cfg.voq_capacity = 20_000;
+                SimBuilder::new(cfg)
+                    .workload(flows(n, 0.9, 7))
+                    .scheduler(Box::new(IslipScheduler::new(n, 3)))
+            },
+            2,
+        );
+        let eps = run_both_profiles(
+            || {
+                // Short flows on a packet-switch-only fabric with a 6 KB
+                // EPS output queue.
+                let mut cfg = hw_cfg(n);
+                cfg.eps_buffer = 6_000;
+                let gen = FlowGenerator::with_load(
+                    TrafficMatrix::uniform(n),
+                    FlowSizeDist::Fixed(3_000),
+                    0.5,
+                    BitRate::GBPS_10,
+                    SimRng::new(7),
+                );
+                SimBuilder::new(cfg)
+                    .workload(Workload::flows(gen))
+                    .scheduler(Box::new(EpsOnlyScheduler::new()))
+            },
+            2,
+        );
+        let dark = run_both_profiles(
+            || {
+                // Host-released bulk in flight when a flaky link dies.
+                let mut cfg = NodeConfig::slow(
+                    n,
+                    SimDuration::from_micros(50),
+                    SwSchedulerModel::tuned_userspace(),
+                );
+                cfg.epoch = SimDuration::from_millis(1);
+                SimBuilder::new(cfg)
+                    .workload(flows(n, 0.5, 7))
+                    .scheduler(Box::new(HotspotScheduler::new(10_000)))
+                    .faults(Some(FaultPlan::flaky_links()))
+            },
+            10,
+        );
+        let sync = run_both_profiles(|| skewed_slow_mode(n), 20);
+        for (cause, report, ledger) in [
+            ("voq_full", voq.drops.voq_full, voq.counters.drop_voq_full),
+            ("eps_full", eps.drops.eps_full, eps.counters.drop_eps_full),
+            (
+                "link_dark",
+                dark.drops.link_dark,
+                dark.counters.drop_link_dark,
+            ),
+            (
+                "sync_violation",
+                sync.drops.sync_violation,
+                sync.counters.drop_sync_violation,
+            ),
+        ] {
+            assert!(report > 0, "{cause}: the configuration must drop");
+            assert_eq!(report, ledger, "{cause}: report vs counters");
+        }
     }
 
     #[test]
@@ -1322,7 +1380,7 @@ mod tests {
         let r = SimBuilder::new(hw_cfg(4))
             .workload(flows(4, 0.5, 23))
             .scheduler(Box::new(IslipScheduler::new(4, 3)))
-            .instrumentation(Instrumentation::timeseries())
+            .instrumentation(InstrProfile::TimeSeries.instrumentation())
             .build()
             .expect("builds")
             .run(SimTime::from_millis(3));
@@ -1426,33 +1484,39 @@ mod tests {
         }
     }
 
+    /// Slow mode with clock skew comparable to the dark window: slot
+    /// edges get clipped, so the run drops sync violations.
+    fn skewed_slow_mode(n: usize) -> SimBuilder {
+        let mut cfg = NodeConfig::slow(
+            n,
+            SimDuration::from_micros(50),
+            SwSchedulerModel::tuned_userspace(),
+        );
+        cfg.epoch = SimDuration::from_millis(1);
+        cfg.seed = 5;
+        if let Placement::Software { sync, .. } = &mut cfg.placement {
+            *sync = xds_hw::SyncModel {
+                skew_bound: SimDuration::from_micros(40),
+                drift_ppb: 0,
+                resync_interval: SimDuration::from_secs(1),
+            };
+        }
+        SimBuilder::new(cfg)
+            .workload(flows(n, 0.5, 17))
+            .scheduler(Box::new(HotspotScheduler::new(10_000)))
+            .estimator(Box::new(MirrorEstimator::new(n)))
+    }
+
     #[test]
     fn slow_mode_is_shard_count_invariant() {
         let n = 4;
-        let mk = || {
-            let mut cfg = NodeConfig::slow(
-                n,
-                SimDuration::from_micros(50),
-                SwSchedulerModel::tuned_userspace(),
-            );
-            cfg.epoch = SimDuration::from_millis(1);
-            cfg.seed = 5;
-            if let Placement::Software { sync, .. } = &mut cfg.placement {
-                *sync = xds_hw::SyncModel {
-                    skew_bound: SimDuration::from_micros(40),
-                    drift_ppb: 0,
-                    resync_interval: SimDuration::from_secs(1),
-                };
-            }
-            SimBuilder::new(cfg)
-                .workload(flows(n, 0.5, 17))
-                .scheduler(Box::new(HotspotScheduler::new(10_000)))
-                .estimator(Box::new(MirrorEstimator::new(n)))
-        };
-        let k1 = mk().build().unwrap().run(SimTime::from_millis(20));
+        let k1 = skewed_slow_mode(n)
+            .build()
+            .unwrap()
+            .run(SimTime::from_millis(20));
         assert!(k1.drops.sync_violation > 0, "exercise the violation path");
         for k in [2, 4] {
-            let sharded = mk()
+            let sharded = skewed_slow_mode(n)
                 .shards(k)
                 .build()
                 .unwrap()

@@ -73,7 +73,7 @@ struct EntryMemo {
 ///   newly-eligible bucket instead of rescanning every non-zero cell;
 /// * matchings are memoized across epochs per entry index: an unchanged
 ///   edge set replays last epoch's matching without rerunning
-///   Hopcroft–Karp (see [`EntryMemo`]).
+///   Hopcroft–Karp (see `EntryMemo`).
 #[derive(Debug, Clone)]
 pub struct SolsticeScheduler {
     max_perms: u32,

@@ -4,8 +4,8 @@
 //! classification, slow-mode grant transmission) runs independently per
 //! shard between *barriers* — the coordinator's own events (epochs, slot
 //! activations, app sends, matrix rotations, faults), which own
-//! cross-shard state: the scheduler, the OCS/EPS, the instrumentation
-//! sinks and the buffer tracker. This is the paper's switch: one central
+//! cross-shard state: the scheduler, the OCS/EPS, the run's recorder
+//! and the buffer tracker. This is the paper's switch: one central
 //! scheduler sending grants to per-port processing logic.
 //!
 //! # Determinism contract
@@ -33,7 +33,7 @@
 //!      coordinator event for the same future instant (today that needs
 //!      the control one-way delay to exactly equal the OCS
 //!      reconfiguration delay).
-//!   2. *Sink effects are shipped, not applied.* Anything a shard-local
+//!   2. *Shared-state effects are shipped, not applied.* Anything a shard-local
 //!      event would do to shared state — an EPS arrival, a slow-mode
 //!      circuit arrival, a drop, a buffer-tracker op — is buffered as a
 //!      `(time, shard, seq)`-stamped item and replayed in that canonical
@@ -62,8 +62,8 @@
 
 use super::*;
 
-/// Assignment of ports to shards. Construct with [`contiguous`]
-/// (`ShardMap::contiguous`) for the standard equal split, or
+/// Assignment of ports to shards. Construct with
+/// [`contiguous`](ShardMap::contiguous) for the standard equal split, or
 /// [`from_assignment`](ShardMap::from_assignment) for arbitrary
 /// (test/proptest) layouts. The determinism contract holds for any map.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,8 +142,8 @@ pub enum ShardExec {
 }
 
 /// Shard-local events: the ones whose handlers touch only one port
-/// group's state plus pure sinks (which get shipped). `li` is a host's
-/// index within its shard.
+/// group's state, shipping any effect on shared state to the barrier.
+/// `li` is a host's index within its shard.
 #[derive(Debug)]
 enum SEv {
     /// A pre-generated flow arrives at its (shard-owned) source host.
@@ -219,7 +219,8 @@ struct Shard {
     gate_interactive: bool,
     mtu: u32,
     prop: SimDuration,
-    track_buffers: bool,
+    /// The coordinator's observation flag: gates buffer-tracker ships.
+    observed: bool,
     // Accounting.
     pops: u64,
     ship: Vec<Ship>,
@@ -311,7 +312,7 @@ impl Shard {
                         self.pool.push(q, pkt);
                     }
                 }
-                if host_voq && self.track_buffers && f.bytes > 0 {
+                if host_voq && self.observed && f.bytes > 0 {
                     // One enqueue of the whole flow: the tracker's peak
                     // after k same-instant enqueues is that of their sum.
                     self.ship(
@@ -350,7 +351,7 @@ impl Shard {
                     let bytes = pkt.bytes as u64;
                     match self.proc.enqueue(pkt) {
                         Ok(()) => {
-                            if self.track_buffers {
+                            if self.observed {
                                 self.ship(
                                     now,
                                     ShipKind::BufEnqueue {
@@ -395,7 +396,7 @@ impl Shard {
                     h.voq_bytes[dst] -= bytes;
                     h.voq_total -= bytes;
                     h.voq_dirty[dst] = true;
-                    if self.track_buffers {
+                    if self.observed {
                         self.ship(
                             now,
                             ShipKind::BufRelease {
@@ -467,7 +468,7 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
                 gate_interactive: state.cfg.voip_on_ocs,
                 mtu: state.cfg.mtu,
                 prop: state.cfg.host_link.propagation,
-                track_buffers: state.track_buffers,
+                observed: state.observed,
                 pops: 0,
                 ship: Vec::new(),
             }
@@ -596,7 +597,7 @@ fn pregen_flows(
         }
         st.offered_bytes += f.bytes;
         st.offered_flows += 1;
-        st.delivery_sink.on_flow_started(f.id, f.bytes, f.start);
+        st.instr.flow_started(f.id, f.bytes, f.start);
         let s = map.shard_of(f.src.index());
         let start = f.start;
         let sched = pending_sched.unwrap_or(SimTime::ZERO);
@@ -655,7 +656,7 @@ fn run_windows(
     }
 }
 
-/// Applies every shipped sink effect in canonical `(time, shard, seq)`
+/// Applies every shipped effect in canonical `(time, shard, seq)`
 /// order — the cross-shard merge rule that pins determinism. A shard's
 /// own log is already in `(time, seq)` order (its window runs in time
 /// order), so when only one shard shipped — always, at K = 1 — its log
@@ -700,11 +701,11 @@ fn apply_ship(st: &mut SimState, t: SimTime, kind: ShipKind) {
             let out = pkt.dst.index();
             match st.switching.eps.enqueue(out, pkt.bytes as u64, t) {
                 Ok(dep) => {
-                    let deliver = dep + st.cfg.host_link.propagation;
-                    st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
+                    st.delivered_eps += pkt.bytes as u64;
+                    st.record_delivery(&pkt, dep + st.cfg.host_link.propagation);
                     st.flush_deliveries();
                 }
-                Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, t),
+                Err(()) => st.counters.drop_eps_full += 1,
             }
         }
         ShipKind::OcsArrival(pkt) => {
@@ -714,21 +715,29 @@ fn apply_ship(st: &mut SimState, t: SimTime, kind: ShipKind) {
                 // light went into a dark fiber. Fault flags only change
                 // at coordinator events, so the state seen here is the
                 // state at `t`.
-                st.drop_sink.on_drop(DropCause::LinkDark, t);
+                st.counters.drop_link_dark += 1;
                 return;
             }
             match st.switching.ocs.transmit(i, j, bytes, t) {
                 Ok(()) => {
-                    let deliver = t + st.cfg.host_link.propagation;
-                    st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
+                    st.delivered_ocs += bytes;
+                    st.record_delivery(&pkt, t + st.cfg.host_link.propagation);
                     st.flush_deliveries();
                 }
                 // Dark window or re-assigned circuit: the light went
                 // nowhere useful.
-                Err(_) => st.drop_sink.on_drop(DropCause::SyncViolation, t),
+                Err(_) => st.counters.drop_sync_violation += 1,
             }
         }
-        ShipKind::Drop(cause) => st.drop_sink.on_drop(cause, t),
+        ShipKind::Drop(cause) => {
+            let c = &mut st.counters;
+            match cause {
+                DropCause::VoqFull => c.drop_voq_full += 1,
+                DropCause::EpsFull => c.drop_eps_full += 1,
+                DropCause::SyncViolation => c.drop_sync_violation += 1,
+                DropCause::LinkDark => c.drop_link_dark += 1,
+            }
+        }
         ShipKind::BufEnqueue { site, bytes } => st.buffers.on_enqueue(site, bytes, t),
         ShipKind::BufRelease {
             site,
@@ -775,7 +784,7 @@ fn handle_coord(
                 h.voq_total += a.pkt_bytes as u64;
                 h.voq_arrived[d] += a.pkt_bytes as u64;
                 h.voq_dirty[d] = true;
-                if st.track_buffers {
+                if st.observed {
                     st.buffers.on_enqueue(Site::Host, a.pkt_bytes as u64, now);
                 }
             } else {
@@ -847,14 +856,13 @@ fn handle_coord(
                 st.estimator
                     .estimate_into(now, st.cfg.epoch, &mut st.demand_scratch);
             }
-            // Demand-error sampling. The ground-truth backlog (the
-            // EpochSample observable) is always available cheaply —
+            // Demand-error sampling. The ground-truth backlog (an
+            // EpochSample field) is always available cheaply —
             // incrementally in fast mode, an O(n) host sum in slow mode.
             // The mirror's error is identically zero by construction
             // (every occupancy change produced a request), and the
             // non-mirror ground-truth snapshot + L1 pass (two n² walks)
-            // runs only when the epoch probe wants the sample — the lean
-            // profile declines it.
+            // runs only when the run is observed — never under lean.
             let truth_total: u64 = if st.is_hw {
                 shards.iter().map(|s| s.proc.total_bytes()).sum()
             } else {
@@ -868,7 +876,7 @@ fn handle_coord(
                 if truth_total > 0 {
                     demand_err_rel = Some(0.0);
                 }
-            } else if st.want_demand_error {
+            } else if st.observed {
                 if st.is_hw {
                     for s in shards.iter() {
                         s.proc.occupancy_rows_into(&mut st.truth_scratch);
@@ -972,7 +980,7 @@ fn handle_coord(
             }
             st.decisions += 1;
             st.decision_ns_sum += d.as_nanos() as u128;
-            st.epoch_probe.on_epoch(&EpochSample {
+            st.instr.epoch(&EpochSample {
                 // One sample per decision: `decisions` was just
                 // incremented, so the zero-based epoch id is one source
                 // of truth, not a second counter.
@@ -1096,7 +1104,7 @@ fn handle_coord(
                         // packet instead of losing it.
                         for pkt in granted.drain(..) {
                             let bytes = pkt.bytes as u64;
-                            if st.track_buffers {
+                            if st.observed {
                                 // The bytes leave the VOQ now either way
                                 // (EPS keeps its own ledger).
                                 st.release_scratch.push((now.as_nanos(), bytes));
@@ -1104,10 +1112,11 @@ fn handle_coord(
                             match st.switching.eps.enqueue(j, bytes, now) {
                                 Ok(dep) => {
                                     st.counters.fault_failover_bytes += bytes;
+                                    st.delivered_eps += bytes;
                                     let deliver = dep + st.cfg.host_link.propagation;
-                                    st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
+                                    st.record_delivery(&pkt, deliver);
                                 }
-                                Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, now),
+                                Err(()) => st.counters.drop_eps_full += 1,
                             }
                         }
                         continue;
@@ -1124,16 +1133,16 @@ fn handle_coord(
                         .ocs
                         .transmit_batch(i, j, total, npkts, now)
                         .expect("granted circuit must be live");
+                    st.delivered_ocs += total;
                     let mut cursor = now;
                     for pkt in granted.drain(..) {
                         let bytes = pkt.bytes as u64;
                         let dep = cursor + st.line_tx.tx_time(bytes);
                         cursor = dep;
-                        if st.track_buffers {
+                        if st.observed {
                             st.release_scratch.push((dep.as_nanos(), bytes));
                         }
-                        let deliver = dep + st.cfg.host_link.propagation;
-                        st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
+                        st.record_delivery(&pkt, dep + st.cfg.host_link.propagation);
                     }
                     if let (Some(t0), Some(tr)) = (burst_t0, &mut st.trace) {
                         tr.span_between(
@@ -1147,9 +1156,9 @@ fn handle_coord(
                     }
                 }
                 // All pairs drained the same slot: flush their releases as
-                // one timestamp-coalesced batch, and the slot's deliveries
-                // as one sink batch.
-                if st.track_buffers {
+                // one timestamp-coalesced batch, and close the slot's
+                // delivery group.
+                if st.observed {
                     let mut releases = std::mem::take(&mut st.release_scratch);
                     st.buffers.on_dequeue_at_batch(Site::Switch, &mut releases);
                     st.release_scratch = releases;

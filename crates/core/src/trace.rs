@@ -1,5 +1,5 @@
-//! Flight-recorder span tracing: nested wall-clock spans serialized as
-//! Chrome Trace Event Format JSON.
+//! Flight-recorder span tracing: wall-clock spans serialized as Chrome
+//! Trace Event Format JSON (nesting is by time containment).
 //!
 //! The coarse `phase_*_ns` split added with the epoch-phase accounting
 //! says *that* decompose dominates an epoch; it cannot say whether the
@@ -24,14 +24,6 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// An open (begun, not yet ended) span on the recorder's stack.
-#[derive(Debug, Clone, Copy)]
-struct OpenSpan {
-    cat: &'static str,
-    name: &'static str,
-    start: Instant,
-}
-
 /// A finished span: a Chrome "complete" (`"ph": "X"`) event.
 #[derive(Debug, Clone)]
 struct CompleteEvent {
@@ -43,13 +35,12 @@ struct CompleteEvent {
     args: Vec<(&'static str, u64)>,
 }
 
-/// Records nested wall-clock spans and serializes them as Chrome Trace
-/// Event Format JSON (see the module docs for when this is enabled).
+/// Records wall-clock spans and serializes them as Chrome Trace Event
+/// Format JSON (see the module docs for when this is enabled).
 #[derive(Debug)]
 pub struct TraceRecorder {
     t0: Instant,
     events: Vec<CompleteEvent>,
-    stack: Vec<OpenSpan>,
 }
 
 impl Default for TraceRecorder {
@@ -65,51 +56,15 @@ impl TraceRecorder {
         TraceRecorder {
             t0: Instant::now(),
             events: Vec::new(),
-            stack: Vec::new(),
         }
-    }
-
-    /// Opens a nested span; every `begin` must be matched by one
-    /// [`end`](Self::end) / [`end_with_args`](Self::end_with_args).
-    pub fn begin(&mut self, cat: &'static str, name: &'static str) {
-        self.stack.push(OpenSpan {
-            cat,
-            name,
-            start: Instant::now(),
-        });
-    }
-
-    /// Closes the innermost open span.
-    pub fn end(&mut self) {
-        self.end_with_args(&[]);
-    }
-
-    /// Closes the innermost open span, attaching `args` (rendered under
-    /// the event's `"args"` object in the trace viewer).
-    pub fn end_with_args(&mut self, args: &[(&'static str, u64)]) {
-        let open = self
-            .stack
-            .pop()
-            .expect("TraceRecorder::end without a matching begin");
-        let end = Instant::now();
-        self.push_complete(open.cat, open.name, open.start, end, args);
     }
 
     /// Records a span from externally captured instants (used to re-play
     /// scheduler-internal spans drained after `schedule()`, and to reuse
     /// the phase-accounting instants the runtime measures anyway).
+    /// `args` render under the event's `"args"` object in the trace
+    /// viewer.
     pub fn span_between(
-        &mut self,
-        cat: &'static str,
-        name: &'static str,
-        start: Instant,
-        end: Instant,
-        args: &[(&'static str, u64)],
-    ) {
-        self.push_complete(cat, name, start, end, args);
-    }
-
-    fn push_complete(
         &mut self,
         cat: &'static str,
         name: &'static str,
@@ -145,11 +100,6 @@ impl TraceRecorder {
     /// nanosecond precision. Loadable as-is in Perfetto and
     /// `chrome://tracing`.
     pub fn to_chrome_json(&self) -> String {
-        debug_assert!(
-            self.stack.is_empty(),
-            "serializing with {} spans still open",
-            self.stack.len()
-        );
         let mut out = String::with_capacity(64 + self.events.len() * 96);
         out.push_str("{\"traceEvents\": [\n");
         out.push_str(
@@ -494,12 +444,12 @@ mod tests {
     #[test]
     fn recorder_round_trips_through_the_validator() {
         let mut tr = TraceRecorder::new();
-        tr.begin("runtime", "epoch");
-        tr.begin("runtime", "estimate");
-        tr.end();
-        tr.end_with_args(&[("epoch", 0)]);
-        let a = Instant::now();
-        tr.span_between("sched", "probe", a, Instant::now(), &[("entries", 7)]);
+        let t0 = Instant::now();
+        let t1 = Instant::now();
+        let t2 = Instant::now();
+        tr.span_between("runtime", "epoch", t0, t2, &[("epoch", 0)]);
+        tr.span_between("runtime", "estimate", t0, t1, &[]);
+        tr.span_between("sched", "probe", t1, t2, &[("entries", 7)]);
         assert_eq!(tr.len(), 3);
         let json = tr.to_chrome_json();
         let summary = validate_chrome_trace(&json).expect("valid trace");

@@ -51,8 +51,7 @@ pub(crate) fn compose(
         p.cfg.placement.label(),
         p.duration,
     );
-    r.measured_deliveries = p.measured_deliveries;
-    r.measured_buffers = p.measured_buffers;
+    r.measured = p.measured;
 
     // ---- background totals across links -------------------------------
     let mut arrival = 0.0f64;
@@ -93,7 +92,7 @@ pub(crate) fn compose(
             .get(app.dst.index() % n)
             .map(|l| l.eps_wait_ns)
             .unwrap_or(0.0);
-        if p.measured_deliveries && pkts > 0 {
+        if p.measured && pkts > 0 {
             // One-way delay: serialization of the app packet plus the
             // destination link's EPS wait.
             let base = p.cfg.eps_rate.tx_time(app.pkt_bytes as u64).as_nanos();
@@ -105,7 +104,7 @@ pub(crate) fn compose(
             jitter_worst = jitter_worst.max(j);
         }
     }
-    if p.measured_deliveries && app_pkts > 0 {
+    if p.measured && app_pkts > 0 {
         let mean = jitter_acc / p.apps.len().max(1) as f64;
         r.voip_jitter_mean_ns = Some(mean);
         r.voip_jitter_max_ns = Some((2.0 * jitter_worst).max(mean));
@@ -160,7 +159,7 @@ pub(crate) fn compose(
 
     // ---- packet latency histograms ------------------------------------
     let line_quantum_ns = p.cfg.line_rate.tx_time(mtu).as_nanos();
-    if p.measured_deliveries {
+    if p.measured {
         for l in links {
             let eps_pkts = (l.eps_delivered / mtu as f64) as u64;
             record_wait_population(
@@ -180,7 +179,7 @@ pub(crate) fn compose(
     }
 
     // ---- flow completion times ----------------------------------------
-    if p.measured_deliveries {
+    if p.measured {
         // Byte-weighted mean waits over the two paths.
         let wmean = |f: fn(&LinkOutcome) -> (f64, f64)| -> f64 {
             let (acc, w) = links
@@ -271,7 +270,7 @@ pub(crate) fn compose(
     }
 
     // ---- buffer peaks --------------------------------------------------
-    if p.measured_buffers {
+    if p.measured {
         match p.cfg.placement.buffering_site() {
             Site::Switch => r.peak_switch_buffer = peak_backlog.round() as u64,
             Site::Host => r.peak_host_buffer = peak_backlog.round() as u64,

@@ -5,7 +5,7 @@
 //! mini-problems solved by closed-form queueing models (stationary
 //! traffic) or tiny seeded slotted simulations (rotating or faulted
 //! traffic), and the per-link outcomes are composed back into a
-//! [`RunReport`](xds_core::report::RunReport) whose columns are
+//! [`RunReport`] whose columns are
 //! bit-compatible with exact-tier sweep rows. The point of the tier is
 //! scale: a kilofabric point that costs the exact simulator seconds
 //! costs the estimator microseconds, at an accuracy loss that

@@ -252,8 +252,7 @@ mod tests {
             entries_per_epoch: 1,
             eps_only: false,
             oblivious: true,
-            measured_deliveries: true,
-            measured_buffers: true,
+            measured: true,
         }
     }
 

@@ -89,12 +89,10 @@ pub struct EstimateProblem {
     /// Demand-oblivious rotation (TDMA): coverage spreads over all `n`
     /// destinations regardless of demand.
     pub oblivious: bool,
-    /// Whether delivery-derived observables count as measured (full /
-    /// timeseries profiles; `false` renders them as null, like lean
-    /// exact rows).
-    pub measured_deliveries: bool,
-    /// Whether buffer peaks count as measured.
-    pub measured_buffers: bool,
+    /// Whether delivery-derived observables and buffer peaks count as
+    /// measured (full / timeseries profiles; `false` renders them as
+    /// null, like lean exact rows).
+    pub measured: bool,
 }
 
 /// The schedule-level constants shared by every mini-problem of a point.
@@ -396,8 +394,7 @@ mod tests {
             entries_per_epoch: 1,
             eps_only: false,
             oblivious: false,
-            measured_deliveries: true,
-            measured_buffers: true,
+            measured: true,
         }
     }
 

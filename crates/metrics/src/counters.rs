@@ -60,7 +60,9 @@ pub struct CounterSet {
     pub grant_bursts: u64,
     /// Largest single grant burst, in packets.
     pub grant_pkts_max: u64,
-    /// Delivery batches flushed to sinks (at most one per slot).
+    /// Handler-level delivery groups recorded: one per coordinator
+    /// handler that delivered an observed packet (at most one per slot;
+    /// zero when the run is unobserved).
     pub delivery_batches: u64,
     /// Fault events injected by the fault plan (link failures, misfires,
     /// stalls) — zero whenever no plan is armed.

@@ -5,8 +5,9 @@ use xds_sim::SimTime;
 
 /// One row of epoch-resolution scheduler telemetry: the per-epoch view of
 /// the quantities the paper's evaluation plots over time (demand-estimation
-/// error, circuit duty cycle, queued backlog). Emitted by the runtime's
-/// time-series epoch probe, one row per scheduler epoch.
+/// error, circuit duty cycle, queued backlog). Recorded by the runtime
+/// under the `timeseries` instrumentation profile, one row per scheduler
+/// epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochRow {
     /// Zero-based epoch index.

@@ -11,7 +11,6 @@
 
 use xds_core::fault::FaultPlan;
 use xds_sim::SimDuration;
-use xds_traffic::FlowSizeDist;
 
 use crate::spec::{
     EstimatorKind, Fidelity, PlacementKind, ScenarioSpec, SchedulerKind, TrafficPattern,
@@ -25,14 +24,11 @@ pub struct SweepGrid {
     ports: Vec<usize>,
     reconfigs: Vec<SimDuration>,
     epochs: Vec<SimDuration>,
-    max_entries: Vec<usize>,
     guards: Vec<SimDuration>,
     schedulers: Vec<SchedulerKind>,
     estimators: Vec<EstimatorKind>,
     placements: Vec<PlacementKind>,
     patterns: Vec<TrafficPattern>,
-    sizes: Vec<FlowSizeDist>,
-    bulk_thresholds: Vec<u64>,
     seeds: Vec<u64>,
     shards: Vec<usize>,
     faults: Vec<FaultPlan>,
@@ -48,14 +44,11 @@ impl SweepGrid {
             ports: Vec::new(),
             reconfigs: Vec::new(),
             epochs: Vec::new(),
-            max_entries: Vec::new(),
             guards: Vec::new(),
             schedulers: Vec::new(),
             estimators: Vec::new(),
             placements: Vec::new(),
             patterns: Vec::new(),
-            sizes: Vec::new(),
-            bulk_thresholds: Vec::new(),
             seeds: Vec::new(),
             shards: Vec::new(),
             faults: Vec::new(),
@@ -87,12 +80,6 @@ impl SweepGrid {
         self
     }
 
-    /// Sweeps the per-epoch configuration budget.
-    pub fn max_entries(mut self, budgets: Vec<usize>) -> Self {
-        self.max_entries = budgets;
-        self
-    }
-
     /// Sweeps the guard band.
     pub fn guards(mut self, guards: Vec<SimDuration>) -> Self {
         self.guards = guards;
@@ -120,18 +107,6 @@ impl SweepGrid {
     /// Sweeps the traffic pattern.
     pub fn patterns(mut self, patterns: Vec<TrafficPattern>) -> Self {
         self.patterns = patterns;
-        self
-    }
-
-    /// Sweeps the flow-size distribution.
-    pub fn size_dists(mut self, sizes: Vec<FlowSizeDist>) -> Self {
-        self.sizes = sizes;
-        self
-    }
-
-    /// Sweeps the EPS/OCS bulk threshold.
-    pub fn bulk_thresholds(mut self, thresholds: Vec<u64>) -> Self {
-        self.bulk_thresholds = thresholds;
         self
     }
 
@@ -168,20 +143,17 @@ impl SweepGrid {
         &self.base
     }
 
-    fn axis_lens(&self) -> [usize; 16] {
+    fn axis_lens(&self) -> [usize; 13] {
         [
             self.loads.len().max(1),
             self.ports.len().max(1),
             self.reconfigs.len().max(1),
             self.epochs.len().max(1),
-            self.max_entries.len().max(1),
             self.guards.len().max(1),
             self.schedulers.len().max(1),
             self.estimators.len().max(1),
             self.placements.len().max(1),
             self.patterns.len().max(1),
-            self.sizes.len().max(1),
-            self.bulk_thresholds.len().max(1),
             self.seeds.len().max(1),
             self.shards.len().max(1),
             self.faults.len().max(1),
@@ -210,7 +182,7 @@ impl SweepGrid {
         for flat in 0..total {
             // Decompose `flat` into per-axis indices, last axis fastest.
             let mut rem = flat;
-            let mut idx = [0usize; 16];
+            let mut idx = [0usize; 13];
             for a in (0..lens.len()).rev() {
                 idx[a] = rem % lens[a];
                 rem /= lens[a];
@@ -238,51 +210,39 @@ impl SweepGrid {
                 spec.epoch = Some(v);
                 tag(format!("ep{v}"), self.epochs.len() > 1, &mut tags);
             }
-            if let Some(&v) = self.max_entries.get(idx[4]) {
-                spec.max_entries = Some(v);
-                tag(format!("me{v}"), self.max_entries.len() > 1, &mut tags);
-            }
-            if let Some(&v) = self.guards.get(idx[5]) {
+            if let Some(&v) = self.guards.get(idx[4]) {
                 spec.guard = v;
                 tag(format!("g{v}"), self.guards.len() > 1, &mut tags);
             }
-            if let Some(v) = self.schedulers.get(idx[6]) {
+            if let Some(v) = self.schedulers.get(idx[5]) {
                 spec.scheduler = v.clone();
                 tag(v.tag(), self.schedulers.len() > 1, &mut tags);
             }
-            if let Some(v) = self.estimators.get(idx[7]) {
+            if let Some(v) = self.estimators.get(idx[6]) {
                 spec.estimator = v.clone();
                 tag(v.label(), self.estimators.len() > 1, &mut tags);
             }
-            if let Some(v) = self.placements.get(idx[8]) {
+            if let Some(v) = self.placements.get(idx[7]) {
                 spec.placement = v.clone();
                 tag(v.label(), self.placements.len() > 1, &mut tags);
             }
-            if let Some(v) = self.patterns.get(idx[9]) {
+            if let Some(v) = self.patterns.get(idx[8]) {
                 spec.pattern = v.clone();
                 tag(v.label(), self.patterns.len() > 1, &mut tags);
             }
-            if let Some(v) = self.sizes.get(idx[10]) {
-                spec.sizes = v.clone();
-                tag(v.label().to_string(), self.sizes.len() > 1, &mut tags);
-            }
-            if let Some(&v) = self.bulk_thresholds.get(idx[11]) {
-                spec.bulk_threshold = Some(v);
-                tag(format!("bt{v}"), self.bulk_thresholds.len() > 1, &mut tags);
-            }
-            if let Some(&v) = self.seeds.get(idx[12]) {
+            if let Some(&v) = self.seeds.get(idx[9]) {
                 spec.seed = v;
                 tag(format!("s{v}"), self.seeds.len() > 1, &mut tags);
             }
-            if let Some(&v) = self.shards.get(idx[13]) {
+            if let Some(&v) = self.shards.get(idx[10]) {
                 spec.shards = v.max(1);
                 tag(format!("sh{v}"), self.shards.len() > 1, &mut tags);
             }
-            if let Some(v) = self.faults.get(idx[14]) {
+            if let Some(v) = self.faults.get(idx[11]) {
                 spec.faults = Some(v.clone());
                 tag(format!("f{}", v.label()), self.faults.len() > 1, &mut tags);
             }
-            if let Some(&v) = self.fidelities.get(idx[15]) {
+            if let Some(&v) = self.fidelities.get(idx[12]) {
                 spec.fidelity = v;
                 tag(v.tag().to_string(), self.fidelities.len() > 1, &mut tags);
             }

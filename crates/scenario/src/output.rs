@@ -477,8 +477,10 @@ impl SweepResults {
     /// Writes each traced point's Chrome Trace Event JSON (best-effort,
     /// like [`write_artifacts`](Self::write_artifacts)): a single traced
     /// point lands in `results/<name>.trace.json`, several in
-    /// `results/<name>.<point>.trace.json` each. Load the files in
-    /// Perfetto or chrome://tracing.
+    /// `results/<name>.<point>.trace.json` each, with every `/` of the
+    /// point name (a grid point's tag separator) written as `_` so the
+    /// file stays in `results/`. Load the files in Perfetto or
+    /// chrome://tracing.
     pub fn write_trace_artifacts(&self, name: &str) -> Vec<std::path::PathBuf> {
         let traced: Vec<(&ScenarioSpec, &str)> = self
             .ok_reports()
@@ -498,7 +500,7 @@ impl SweepResults {
             let file = if solo {
                 format!("{name}.trace.json")
             } else {
-                format!("{name}.{}.trace.json", spec.name)
+                format!("{name}.{}.trace.json", spec.name.replace('/', "_"))
             };
             let path = dir.join(file);
             match std::fs::write(&path, json) {

@@ -985,8 +985,7 @@ impl ScenarioSpec {
             },
             eps_only: self.scheduler == SchedulerKind::EpsOnly,
             oblivious: self.scheduler == SchedulerKind::Tdma,
-            measured_deliveries: measured,
-            measured_buffers: measured,
+            measured,
         };
         Ok(xds_estimate::estimate(&problem))
     }

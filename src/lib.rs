@@ -71,10 +71,7 @@ pub mod prelude {
         CountMinEstimator, DemandEstimator, DemandMatrix, EwmaEstimator, MirrorEstimator,
         SchedRequest, WindowEstimator,
     };
-    pub use xds_core::instrument::{
-        DeliveryPath, DeliveryRecord, DeliverySink, DropCause, DropSink, EpochProbe, EpochSample,
-        InstrProfile, Instrumentation, SinkCtx,
-    };
+    pub use xds_core::instrument::{DropCause, EpochSample, InstrProfile, Instrumentation};
     pub use xds_core::node::{MatrixCycle, Workload};
     pub use xds_core::report::{MetricValue, RunReport};
     pub use xds_core::runtime::{BuildError, HybridSim, SimBuilder};

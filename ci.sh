@@ -148,6 +148,22 @@ grep -q '"pool_allocs"' results/ci_counters.json \
 head -1 results/ci_counters.csv | grep -q 'sched_memo_hits' \
     || { echo "ci.sh: counters columns missing from sweep CSV header"; exit 1; }
 
+echo "==> host staging (hosts hold flows, not packets: pool allocations <= events)"
+# Every pool entry is pushed by the handler of its own event — a staged
+# flow by its injection or app send, a VOQ packet by its switch arrival —
+# so a run can never allocate more entries than it fires events. Staging
+# each packet of a flow when the flow arrives breaks the bound sevenfold
+# on this heavy-tailed point, whose flows mostly outlast the horizon.
+cargo run --release -q -p xds-bench --bin sweep -- run datamining --ports 32 \
+    --loads 0.9 --seeds 101 --duration-ms 50 --counters --threads 1 \
+    --out ci_staging >/dev/null
+staging_allocs=$(grep -o '"pool_allocs": [0-9]*' results/ci_staging.json | grep -o '[0-9]*$')
+staging_events=$(grep -o '"events": [0-9]*' results/ci_staging.json | grep -o '[0-9]*$')
+[ -n "$staging_allocs" ] && [ -n "$staging_events" ] \
+    || { echo "ci.sh: staging row lost its pool_allocs or events column"; exit 1; }
+[ "$staging_allocs" -le "$staging_events" ] \
+    || { echo "ci.sh: $staging_allocs pool allocations for $staging_events events: hosts stage packets, not flows"; exit 1; }
+
 echo "==> fault injection (a faulted smoke point must visibly degrade, gracefully)"
 # The watchdog flag rides along so the guarded-runner path is the one
 # CI exercises; 600 s is a liveness bound, not a measurement.

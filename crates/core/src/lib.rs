@@ -47,7 +47,7 @@ pub use demand::{DemandEstimator, DemandMatrix, SchedRequest};
 pub use fault::{FaultPlan, LinkFaultSpec, MisfireSpec, StallSpec};
 pub use instrument::{DropCause, EpochSample, InstrProfile, Instrumentation};
 pub use node::{MatrixCycle, Workload};
-pub use pool::{PacketPool, PktFifo};
+pub use pool::{Fifo, Pool};
 pub use report::{MetricValue, RunReport};
 pub use runtime::{BuildError, HybridSim, ShardExec, ShardMap, SimBuilder};
 pub use sched::{Schedule, ScheduleCtx, ScheduleEntry, Scheduler};

@@ -16,7 +16,7 @@ use xds_net::Packet;
 use xds_sim::SimTime;
 
 use crate::demand::{DemandMatrix, SchedRequest};
-use crate::pool::{PacketPool, PktFifo};
+use crate::pool::{Fifo, Pool};
 
 /// Per-pair bookkeeping kept beside the dense occupancy array.
 #[derive(Debug, Default)]
@@ -24,7 +24,7 @@ struct PairState {
     /// Cumulative bytes ever enqueued (for rate estimators).
     arrived_total: u64,
     /// The pair's packets, as an intrusive FIFO in the shared pool.
-    fifo: PktFifo,
+    fifo: Fifo,
     queued: u64,
     /// Whether this pair is in the dirty list.
     dirty: bool,
@@ -33,7 +33,7 @@ struct PairState {
 /// The VOQ bank plus request bookkeeping.
 ///
 /// Storage is built for the per-packet hot path: all `n²` VOQs share one
-/// **packet pool** ([`PacketPool`] — a free-list slab of 4-packet chunks)
+/// **packet pool** ([`Pool`] — a free-list slab of 4-packet chunks)
 /// and each VOQ is an intrusive FIFO of pool indices, so an enqueue
 /// touches one pool slot and one compact per-pair record instead of a
 /// per-queue `VecDeque` plus three parallel arrays. Queued bytes live in
@@ -48,7 +48,7 @@ pub struct ProcessingLogic {
     n: usize,
     voq_capacity: u64,
     /// Shared chunk pool backing every VOQ FIFO.
-    pool: PacketPool,
+    pool: Pool<Packet>,
     pairs: Vec<PairState>,
     /// Indices currently flagged dirty, unsorted (sorted on take).
     dirty_list: Vec<u32>,
@@ -95,7 +95,7 @@ impl ProcessingLogic {
         ProcessingLogic {
             n,
             voq_capacity,
-            pool: PacketPool::new(),
+            pool: Pool::new(),
             pairs: (0..nlocal * n).map(|_| PairState::default()).collect(),
             dirty_list: Vec::new(),
             total_queued: 0,
@@ -291,7 +291,7 @@ impl ProcessingLogic {
     /// The backing pool's conservation counters, for tests and epoch
     /// assertions: `(live packets, chunks in use)`.
     pub fn pool_occupancy(&self) -> (u64, usize) {
-        (self.pool.live_packets(), self.pool.chunks_in_use())
+        (self.pool.live(), self.pool.chunks_in_use())
     }
 
     /// The backing pool's always-on conservation ledger, harvested into
@@ -307,7 +307,7 @@ impl ProcessingLogic {
     }
 
     /// Release-mode conservation audit of the backing pool (see
-    /// [`PacketPool::check_conserved`]).
+    /// [`Pool::check_conserved`]).
     pub fn check_pool_conserved(&self) -> Result<(), String> {
         self.pool.check_conserved()
     }

@@ -27,17 +27,17 @@
 //! Simulations are assembled with [`SimBuilder`], which returns a typed
 //! [`BuildError`] instead of panicking on bad input.
 
-use xds_net::{Packet, TrafficClass};
+use xds_net::{Packet, PortNo, TrafficClass};
 use xds_sim::{EventQueue, SimDuration, SimRng, SimTime, TxTimeCache};
 use xds_switch::{BufferTracker, Site};
-use xds_traffic::{packet_sizes, FlowSpec};
+use xds_traffic::FlowSpec;
 
 use crate::config::{NodeConfig, Placement};
 use crate::demand::{DemandEstimator, DemandMatrix, MirrorEstimator, SchedRequest};
 use crate::fault::{FaultPlan, FaultState, SlotFault};
 use crate::instrument::{DropCause, EpochSample, InstrProfile, Instrumentation, APP_FLOW_BASE};
 use crate::node::Workload;
-use crate::pool::{PacketPool, PktFifo};
+use crate::pool::{Fifo, Pool};
 use crate::processing::ProcessingLogic;
 use crate::report::{DropStats, EpochPhaseNs, RunReport};
 use crate::sched::{Schedule, ScheduleCtx, Scheduler};
@@ -83,28 +83,114 @@ enum Ev {
     LinkRepair { port: usize },
 }
 
+/// A flow staged at its source host: the part not yet sent. The NIC cuts
+/// one packet off the front entry of a staging queue or host VOQ each
+/// time it sends, so a flow occupies one pool slot however many packets
+/// it becomes, and a packet exists only once it leaves the host.
+///
+/// Cutting reproduces eager packetization exactly: packet `seq` carries
+/// `min(left, seg)` bytes — full segments, then the tail — and the
+/// flow's creation time, and each queue is FIFO over whole flows.
+#[derive(Debug, Clone, Copy)]
+struct Staged {
+    flow: u64,
+    created: SimTime,
+    /// Bytes not yet cut into packets.
+    left: u64,
+    src: PortNo,
+    dst: PortNo,
+    class: TrafficClass,
+    /// `seq` of the next packet.
+    seq: u32,
+    /// Segment size: the MTU for a flow, the packet size for an app send.
+    seg: u32,
+}
+
+// Four entries and the link fit in three cache lines, like a chunk of
+// four packets in the VOQ bank's pool.
+const _: () = assert!(std::mem::size_of::<Staged>() == 40);
+
+impl Staged {
+    /// `bytes` of flow `flow` created at `created`, cut into `seg`-byte
+    /// packets. A zero-byte entry still yields one (empty) packet: only
+    /// app sends stage one, as a flow of no bytes stages nothing.
+    fn new(
+        flow: u64,
+        src: PortNo,
+        dst: PortNo,
+        bytes: u64,
+        class: TrafficClass,
+        created: SimTime,
+        seg: u32,
+    ) -> Self {
+        Staged {
+            flow,
+            created,
+            left: bytes,
+            src,
+            dst,
+            class,
+            seq: 0,
+            seg,
+        }
+    }
+
+    /// Size of the next packet.
+    fn front_bytes(&self) -> u32 {
+        self.left.min(self.seg as u64) as u32
+    }
+
+    /// Cuts the next packet off the front; the entry is spent once
+    /// `left` reaches zero.
+    fn cut(&mut self) -> Packet {
+        let bytes = self.front_bytes();
+        let pkt = Packet::new(
+            self.flow,
+            self.src,
+            self.dst,
+            bytes,
+            self.class,
+            self.created,
+            self.seq,
+        );
+        self.left -= bytes as u64;
+        self.seq = self.seq.wrapping_add(1);
+        pkt
+    }
+}
+
+/// Cuts the next packet off the front entry of `q`, popping the entry
+/// when its last byte leaves.
+fn cut_front(pool: &mut Pool<Staged>, q: &mut Fifo) -> Option<Packet> {
+    let front = pool.front_mut(q)?;
+    let pkt = front.cut();
+    if front.left == 0 {
+        pool.pop(q);
+    }
+    Some(pkt)
+}
+
 /// Per-host state. Field order is deliberate: the pump path (once per
 /// packet) touches `nic_busy_until`, `pump_active` and the staging-queue
 /// headers, so those lead the struct and share cache lines; the slow-
 /// mode VOQ state is colder and trails.
 ///
-/// All packet storage lives in the owning shard's [`PacketPool`]: the
-/// staging queues and slow-mode VOQs are 10-byte intrusive FIFO headers,
-/// so a host enqueue/dequeue moves one descriptor inside the pool instead
-/// of shifting a per-queue `VecDeque`, and the shard's hosts recycle
-/// packets through one free list.
+/// Staged flows live in the owning shard's host [`Pool`]: the staging
+/// queues and slow-mode VOQs are 12-byte intrusive FIFO headers over
+/// [`Staged`] entries, one per flow (or app send) rather than one per
+/// packet, and the shard's hosts recycle entries through one free list.
 #[derive(Debug)]
 struct Host {
     nic_busy_until: SimTime,
     pump_active: bool,
     /// Staging queues toward the NIC, strict priority order.
-    q_inter: PktFifo,
-    q_short: PktFifo,
-    q_bulk: PktFifo,
+    q_inter: Fifo,
+    q_short: Fifo,
+    q_bulk: Fifo,
     /// Slow mode: per-destination bulk VOQs held in host memory. These
     /// four vectors are n long under software placement and empty under
     /// hardware placement, where no code path reads them.
-    voq: Vec<PktFifo>,
+    voq: Vec<Fifo>,
     voq_bytes: Vec<u64>,
     /// Incremental sum of `voq_bytes` (O(1) ground-truth total).
     voq_total: u64,
@@ -119,10 +205,10 @@ impl Host {
     /// 0 under hardware placement.
     fn new(voqs: usize) -> Self {
         Host {
-            q_inter: PktFifo::new(),
-            q_short: PktFifo::new(),
-            q_bulk: PktFifo::new(),
-            voq: (0..voqs).map(|_| PktFifo::new()).collect(),
+            q_inter: Fifo::new(),
+            q_short: Fifo::new(),
+            q_bulk: Fifo::new(),
+            voq: (0..voqs).map(|_| Fifo::new()).collect(),
             voq_bytes: vec![0; voqs],
             voq_total: 0,
             voq_arrived: vec![0; voqs],
@@ -133,14 +219,36 @@ impl Host {
         }
     }
 
-    fn pop_staged(&mut self, pool: &mut PacketPool) -> Option<Packet> {
-        if let Some(p) = pool.pop(&mut self.q_inter) {
-            return Some(p);
+    /// The staging queue for `class`.
+    fn staging(&mut self, class: TrafficClass) -> &mut Fifo {
+        match class {
+            TrafficClass::Interactive => &mut self.q_inter,
+            TrafficClass::Short => &mut self.q_short,
+            TrafficClass::Bulk => &mut self.q_bulk,
         }
-        if let Some(p) = pool.pop(&mut self.q_short) {
-            return Some(p);
-        }
-        pool.pop(&mut self.q_bulk)
+    }
+
+    /// Queues a staged entry for slow-mode grant transmission toward
+    /// `dst`, booking its bytes as VOQ demand.
+    fn stage_voq(&mut self, pool: &mut Pool<Staged>, dst: usize, entry: Staged) {
+        pool.push(&mut self.voq[dst], entry);
+        self.voq_bytes[dst] += entry.left;
+        self.voq_total += entry.left;
+        self.voq_arrived[dst] += entry.left;
+        self.voq_dirty[dst] = true;
+    }
+
+    /// The NIC's next packet: cut off the first non-empty staging queue
+    /// in strict priority order.
+    fn pop_staged(&mut self, pool: &mut Pool<Staged>) -> Option<Packet> {
+        let q = if !self.q_inter.is_empty() {
+            &mut self.q_inter
+        } else if !self.q_short.is_empty() {
+            &mut self.q_short
+        } else {
+            &mut self.q_bulk
+        };
+        cut_front(pool, q)
     }
 
     /// The actual (switch-clock) instant at which this host's clock reads
@@ -381,7 +489,9 @@ pub struct SimBuilder {
     workload: Workload,
     scheduler: Option<Box<dyn Scheduler>>,
     estimator: Option<Box<dyn DemandEstimator>>,
-    instr: Instrumentation,
+    /// `None` until [`instrumentation`](Self::instrumentation) is called:
+    /// `build` makes the `full` profile's recorder only if none was set.
+    instr: Option<Instrumentation>,
     trace: bool,
     shards: usize,
     shard_map: Option<ShardMap>,
@@ -399,7 +509,7 @@ impl SimBuilder {
             workload: Workload::apps_only(Vec::new()),
             scheduler: None,
             estimator: None,
-            instr: InstrProfile::Full.instrumentation(),
+            instr: None,
             trace: false,
             shards: 1,
             shard_map: None,
@@ -464,7 +574,7 @@ impl SimBuilder {
     /// Sets the run's recorder (defaults to the `full` profile's; see
     /// [`InstrProfile::instrumentation`]).
     pub fn instrumentation(mut self, instr: Instrumentation) -> Self {
-        self.instr = instr;
+        self.instr = Some(instr);
         self
     }
 
@@ -561,6 +671,7 @@ impl SimBuilder {
             .filter(|p| p.is_active())
             .map(|p| FaultState::new(p, rng.fork(), n));
         let estimator_is_mirror = estimator.mirrors_occupancy();
+        let instr = instr.unwrap_or_else(|| InstrProfile::Full.instrumentation());
         let state = SimState {
             switching: SwitchingLogic::new(n, cfg.reconfig, cfg.eps_rate, cfg.eps_buffer),
             buffers: BufferTracker::new(),
@@ -708,8 +819,8 @@ mod tests {
     use super::*;
     use crate::demand::MirrorEstimator;
     use crate::sched::{EpsOnlyScheduler, HotspotScheduler, IslipScheduler};
+    use std::collections::VecDeque;
     use xds_hw::{HwAlgo, HwSchedulerModel, SwSchedulerModel};
-    use xds_net::PortNo;
     use xds_sim::BitRate;
     use xds_traffic::{CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
 
@@ -756,6 +867,173 @@ mod tests {
             Box::new(MirrorEstimator::new(n)),
         )
         .run(SimTime::from_millis(ms))
+    }
+
+    const MTU: u32 = 1500;
+
+    /// Flow sizes around every packetization edge: none, one byte, just
+    /// under/at/over one MTU, and several MTUs plus a tail.
+    const EDGE_SIZES: [u64; 6] = [
+        0,
+        1,
+        MTU as u64 - 1,
+        MTU as u64,
+        MTU as u64 + 1,
+        7 * 1500 + 3,
+    ];
+
+    /// Eager packetization of one flow: the reference the staged cuts
+    /// must reproduce.
+    fn eager(id: u64, class: TrafficClass, bytes: u64, created: SimTime) -> Vec<Packet> {
+        xds_traffic::packet_sizes(bytes, MTU)
+            .enumerate()
+            .map(|(seq, size)| {
+                Packet::new(id, PortNo(1), PortNo(2), size, class, created, seq as u32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn staging_cuts_the_packets_eager_packetization_made() {
+        let classes = [
+            TrafficClass::Bulk,
+            TrafficClass::Interactive,
+            TrafficClass::Short,
+        ];
+        let mut pool = Pool::new();
+        let mut host = Host::new(0);
+        // One queue per class, popped in strict priority like the NIC.
+        let mut want: [VecDeque<Packet>; 3] = Default::default();
+        let pop_want =
+            |want: &mut [VecDeque<Packet>; 3]| want.iter_mut().find_map(|q| q.pop_front());
+        let mut id = 0;
+        for (round, &bytes) in EDGE_SIZES.iter().enumerate() {
+            // Rotate the classes so every priority order gets staged.
+            for k in 0..3 {
+                let class = classes[(round + k) % 3];
+                let created = SimTime::from_nanos(100 * id);
+                want[class as usize].extend(eager(id, class, bytes, created));
+                if bytes > 0 {
+                    let entry = Staged::new(id, PortNo(1), PortNo(2), bytes, class, created, MTU);
+                    pool.push(host.staging(class), entry);
+                }
+                id += 1;
+            }
+            if round == 2 {
+                // An app send larger than the MTU leaves as one packet.
+                let created = SimTime::from_nanos(7);
+                let app = Packet::new(
+                    APP_FLOW_BASE,
+                    PortNo(1),
+                    PortNo(2),
+                    4000,
+                    TrafficClass::Interactive,
+                    created,
+                    0,
+                );
+                want[TrafficClass::Interactive as usize].push_back(app);
+                let entry = Staged::new(
+                    APP_FLOW_BASE,
+                    PortNo(1),
+                    PortNo(2),
+                    4000,
+                    TrafficClass::Interactive,
+                    created,
+                    4000,
+                );
+                pool.push(&mut host.q_inter, entry);
+            }
+            // Interleave sends with staging.
+            for _ in 0..3 {
+                assert_eq!(host.pop_staged(&mut pool), pop_want(&mut want));
+            }
+        }
+        while let Some(p) = pop_want(&mut want) {
+            assert_eq!(host.pop_staged(&mut pool), Some(p));
+        }
+        assert_eq!(host.pop_staged(&mut pool), None);
+        assert_eq!(pool.live(), 0, "every spent entry was popped");
+        pool.check_conserved().expect("host pool conserves");
+    }
+
+    #[test]
+    fn slow_mode_grants_cut_the_packets_eager_packetization_made() {
+        let dst = 2;
+        let mut pool = Pool::new();
+        let mut host = Host::new(4);
+        let mut want = VecDeque::new();
+        for (id, &bytes) in EDGE_SIZES.iter().enumerate() {
+            let created = SimTime::from_nanos(10 * id as u64);
+            want.extend(eager(id as u64, TrafficClass::Bulk, bytes, created));
+            if bytes > 0 {
+                let entry = Staged::new(
+                    id as u64,
+                    PortNo(1),
+                    PortNo(2),
+                    bytes,
+                    TrafficClass::Bulk,
+                    created,
+                    MTU,
+                );
+                host.stage_voq(&mut pool, dst, entry);
+            }
+        }
+        let total: u64 = EDGE_SIZES.iter().sum();
+        assert_eq!(host.voq_bytes[dst], total);
+        assert_eq!((host.voq_total, host.voq_arrived[dst]), (total, total));
+        // Grant windows, in bytes: each step checks the front packet's
+        // size against what is left of the window, as a grant does.
+        for window in [2000, MTU as u64 - 1, MTU as u64, 0, 9000, u64::MAX] {
+            let mut used = 0;
+            loop {
+                let front = pool.front(&host.voq[dst]).map(|e| e.front_bytes());
+                assert_eq!(front, want.front().map(|p| p.bytes));
+                let Some(bytes) = front else { break };
+                if used + bytes as u64 > window {
+                    break;
+                }
+                used += bytes as u64;
+                let cut = cut_front(&mut pool, &mut host.voq[dst]);
+                assert_eq!(cut, want.pop_front());
+            }
+        }
+        assert!(want.is_empty() && host.voq[dst].is_empty());
+        pool.check_conserved().expect("host pool conserves");
+    }
+
+    #[test]
+    fn hosts_stage_flows_not_packets() {
+        // 20 MB flows: a host serializes ~2.5 MB in the 2 ms horizon, so
+        // nearly every packet is still staged when the run ends. Each pool
+        // entry is pushed by its own event's handler (a flow by its
+        // injection, a VOQ packet by its switch arrival), so the pool can
+        // never allocate more often than events fire.
+        let n = 8;
+        let gen = FlowGenerator::with_load(
+            TrafficMatrix::uniform(n),
+            FlowSizeDist::Fixed(20_000_000),
+            10.0,
+            BitRate::GBPS_10,
+            SimRng::new(5),
+        );
+        let r = sim(
+            hw_cfg(n),
+            Workload::flows(gen),
+            Box::new(IslipScheduler::new(n, 3)),
+            Box::new(MirrorEstimator::new(n)),
+        )
+        .run(SimTime::from_millis(2));
+        assert!(r.offered_flows >= 5, "{} flows", r.offered_flows);
+        assert!(
+            r.delivered_bytes() < r.offered_bytes / 4,
+            "flows outlast the run"
+        );
+        assert!(
+            r.counters.pool_allocs <= r.events,
+            "{} pool allocations for {} events",
+            r.counters.pool_allocs,
+            r.events
+        );
     }
 
     #[test]

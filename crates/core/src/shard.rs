@@ -1,5 +1,5 @@
 //! The event loop: the fabric splits into K port groups ("shards"),
-//! each owning its hosts, VOQ bank rows, packet pool and event queue.
+//! each owning its hosts, VOQ bank rows, pools and event queue.
 //! Intra-shard work (flow injection, NIC pumps, switch-ingress
 //! classification, slow-mode grant transmission) runs independently per
 //! shard between *barriers* — the coordinator's own events (epochs, slot
@@ -44,8 +44,8 @@
 //!      scheduler and the decision-latency RNG consume identical inputs.
 //!
 //! Counters whose value reflects *structure* rather than behavior —
-//! the coordinator's and the shards' ladder-queue and packet-pool
-//! ledgers (`queue_*`, `pool_*`) — are merged across shards with
+//! the coordinator's and the shards' ladder-queue and pool ledgers
+//! (`queue_*`, `pool_*`) — are merged across shards with
 //! [`CounterSet::merge`] semantics (sums for tallies, max for peaks) and
 //! are deterministic per `(K, seed)` but legitimately K-dependent.
 //!
@@ -195,7 +195,7 @@ struct Ship {
     kind: ShipKind,
 }
 
-/// One port group: its hosts, pool, VOQ rows and event queue.
+/// One port group: its hosts, host pool, VOQ rows and event queue.
 struct Shard {
     id: usize,
     /// Sorted global ports this shard owns.
@@ -203,8 +203,9 @@ struct Shard {
     /// `local[global] = index into hosts`, `u32::MAX` for foreign ports.
     local: Vec<u32>,
     hosts: Vec<Host>,
-    /// Backs this shard's staging queues and host VOQs.
-    pool: PacketPool,
+    /// Backs this shard's staging queues and host VOQs: one entry per
+    /// staged flow or app send.
+    pool: Pool<Staged>,
     /// Row-windowed switch VOQ bank (this shard's source rows only).
     proc: ProcessingLogic,
     /// Every event is stamped with its *scheduling* time — the `now` of
@@ -292,24 +293,17 @@ impl Shard {
                 let li = self.local_of(f.src.index());
                 let host_voq = self.gated(f.class) && !self.is_hw;
                 let h = &mut self.hosts[li];
-                for (seq, size) in packet_sizes(f.bytes, self.mtu).enumerate() {
-                    let pkt = Packet::new(f.id, f.src, f.dst, size, f.class, now, seq as u32);
+                // The whole flow is one staged entry; the NIC (or a
+                // slow-mode grant) cuts its packets as they leave. A flow
+                // of no bytes has no packets, so it stages nothing.
+                if f.bytes > 0 {
+                    let entry = Staged::new(f.id, f.src, f.dst, f.bytes, f.class, now, self.mtu);
                     if host_voq {
                         // Slow scheduling: bulk waits in host memory for
                         // a grant.
-                        let d = f.dst.index();
-                        self.pool.push(&mut h.voq[d], pkt);
-                        h.voq_bytes[d] += size as u64;
-                        h.voq_total += size as u64;
-                        h.voq_arrived[d] += size as u64;
-                        h.voq_dirty[d] = true;
+                        h.stage_voq(&mut self.pool, f.dst.index(), entry);
                     } else {
-                        let q = match pkt.class {
-                            TrafficClass::Interactive => &mut h.q_inter,
-                            TrafficClass::Short => &mut h.q_short,
-                            TrafficClass::Bulk => &mut h.q_bulk,
-                        };
-                        self.pool.push(q, pkt);
+                        self.pool.push(h.staging(f.class), entry);
                     }
                 }
                 if host_voq && self.observed && f.bytes > 0 {
@@ -385,12 +379,12 @@ impl Shard {
                     let Some(front) = self.pool.front(&h.voq[dst]) else {
                         break;
                     };
-                    let bytes = front.bytes as u64;
+                    let bytes = front.front_bytes() as u64;
                     let tx = self.host_tx.tx_time(bytes);
                     if cursor + tx > end_seen {
                         break;
                     }
-                    let pkt = self.pool.pop(&mut h.voq[dst]).expect("peeked");
+                    let pkt = cut_front(&mut self.pool, &mut h.voq[dst]).expect("peeked");
                     let dep = cursor + tx;
                     cursor = dep;
                     h.voq_bytes[dst] -= bytes;
@@ -459,7 +453,7 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
                 id: s,
                 local,
                 hosts,
-                pool: PacketPool::new(),
+                pool: Pool::new(),
                 proc: ProcessingLogic::with_rows(n, state.cfg.voq_capacity, ports.clone()),
                 ports,
                 queue: EventQueue::new(),
@@ -545,17 +539,17 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
             queue_direct_sorts: s.queue.direct_sort_count(),
             pool_allocs: s.pool.alloc_count() + a,
             pool_frees: s.pool.free_count() + f,
-            // Per shard: host-pool peak + VOQ-bank peak (the pools never
-            // trade packets, so the sum is a deterministic combined
-            // ceiling). Across shards the merge takes the max — the
-            // documented peak semantic.
+            // Per shard: host-pool peak (staged flows) + VOQ-bank peak
+            // (packets). The pools never trade entries, so the sum is a
+            // deterministic combined ceiling. Across shards the merge
+            // takes the max — the documented peak semantic.
             pool_live_peak: s.pool.live_peak() + pk,
             pool_chunk_growths: s.pool.chunk_growth_count() + g,
             ..Default::default()
         };
         st.counters.merge(&c);
         // End-of-run conservation audits, on in release builds too: a
-        // packet-pool leak is a runtime bug no report may paper over.
+        // pool leak is a runtime bug no report may paper over.
         if let Err(e) = s.pool.check_conserved() {
             panic!("end-of-run shard {} host pool audit failed: {e}", s.id);
         }
@@ -761,35 +755,30 @@ fn handle_coord(
     match ev {
         Ev::AppSend { app } => {
             let a = st.apps[app].clone();
-            let pkt = Packet::new(
+            // One packet, never split: its own size is the segment.
+            let entry = Staged::new(
                 APP_FLOW_BASE + app as u64,
                 a.src,
                 a.dst,
-                a.pkt_bytes,
+                a.pkt_bytes as u64,
                 TrafficClass::Interactive,
                 now,
-                0,
+                a.pkt_bytes,
             );
             st.offered_bytes += a.pkt_bytes as u64;
             let host = a.src.index();
             let sh = &mut shards[map.shard_of(host)];
             let li = sh.local_of(host);
+            let h = &mut sh.hosts[li];
             if st.gated(TrafficClass::Interactive) && !st.is_hw {
                 // voip_on_ocs ablation under slow scheduling: the call
                 // waits in host memory like any elephant.
-                let d = a.dst.index();
-                let h = &mut sh.hosts[li];
-                sh.pool.push(&mut h.voq[d], pkt);
-                h.voq_bytes[d] += a.pkt_bytes as u64;
-                h.voq_total += a.pkt_bytes as u64;
-                h.voq_arrived[d] += a.pkt_bytes as u64;
-                h.voq_dirty[d] = true;
+                h.stage_voq(&mut sh.pool, a.dst.index(), entry);
                 if st.observed {
                     st.buffers.on_enqueue(Site::Host, a.pkt_bytes as u64, now);
                 }
             } else {
-                let h = &mut sh.hosts[li];
-                sh.pool.push(&mut h.q_inter, pkt);
+                sh.pool.push(&mut h.q_inter, entry);
                 sh.ensure_pump(now, li);
             }
             let next = a.next_send(now, &mut st.rng);

@@ -19,8 +19,8 @@ use xds_core::sched::{
 use xds_estimate::EstimateProblem;
 use xds_hw::{ClockDomain, HwAlgo, HwSchedulerModel, SwSchedulerModel, SyncModel};
 use xds_net::PortNo;
-use xds_sim::{SimDuration, SimRng, SimTime};
-use xds_traffic::{CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
+use xds_sim::{BitRate, SimDuration, SimRng, SimTime};
+use xds_traffic::{mean_flow_gap, CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
 
 /// The fidelity tier a point is evaluated at: the exact event-driven
 /// simulator, or the decomposed fast estimator (`xds-estimate`). A
@@ -861,6 +861,15 @@ impl ScenarioSpec {
         cfg
     }
 
+    /// Rejects a load whose flow arrivals cannot be drawn (see
+    /// [`mean_flow_gap`]), naming it: both fidelities return this error
+    /// where the exact run would otherwise panic.
+    fn check_flow_rate(&self, eff_load: f64, line_rate: BitRate) -> Result<(), String> {
+        mean_flow_gap(eff_load, self.n_ports, line_rate, &self.sizes)
+            .map(|_| ())
+            .map_err(|e| format!("scenario {}: load {:?}: {e}", self.name, self.load))
+    }
+
     /// Materializes the runtime inputs. Every RNG stream (runtime, matrix
     /// shuffling, workload arrivals) forks deterministically off
     /// [`seed`](Self::seed), so a spec is exactly reproducible.
@@ -886,6 +895,7 @@ impl ScenarioSpec {
         } else {
             self.load
         };
+        self.check_flow_rate(eff_load, cfg.line_rate)?;
         let mut gen = FlowGenerator::with_load(
             matrix,
             self.sizes.clone(),
@@ -959,6 +969,7 @@ impl ScenarioSpec {
         } else {
             self.load
         };
+        self.check_flow_rate(eff_load, cfg.line_rate)?;
         // Lean instrumentation means "don't observe": the estimate tier
         // mirrors that by leaving observation-derived columns absent.
         let measured = self.profile != InstrProfile::Lean;
@@ -1102,6 +1113,24 @@ mod tests {
             .with_reconfig(SimDuration::from_micros(10))
             .with_epoch(SimDuration::from_micros(5));
         assert!(bad_epoch.run().is_err(), "epoch below reconfig must error");
+    }
+
+    #[test]
+    fn extreme_loads_are_errors_at_both_fidelities() {
+        // 1e5 leaves a mean flow gap under half a nanosecond; 1e300 and
+        // f64::MAX overflow the arrival rate.
+        for load in [1e5, 1e300, f64::MAX] {
+            for fidelity in [Fidelity::Exact, Fidelity::Estimate] {
+                let spec = ScenarioSpec::new("extreme")
+                    .with_load(load)
+                    .with_fidelity(fidelity);
+                let err = spec.run().expect_err("an unusable load must be an error");
+                assert!(
+                    err.contains(&format!("load {load:?}")),
+                    "{fidelity:?} at {load}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

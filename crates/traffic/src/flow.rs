@@ -24,6 +24,33 @@ pub struct FlowSpec {
     pub class: TrafficClass,
 }
 
+/// The mean gap of the Poisson flow arrivals that offer `load` × the
+/// aggregate capacity of `n` ports at `line_rate`, rounded to whole
+/// nanoseconds as [`FlowGenerator::with_load`] uses it. Errs when the
+/// arrival rate is not finite and positive, or when the gap rounds to
+/// 0 ns: no arrival process can be drawn from either.
+pub fn mean_flow_gap(
+    load: f64,
+    n: usize,
+    line_rate: BitRate,
+    sizes: &FlowSizeDist,
+) -> Result<SimDuration, String> {
+    let agg_bytes_per_sec = load * n as f64 * line_rate.bytes_per_sec() as f64;
+    let flows_per_sec = agg_bytes_per_sec / sizes.mean_bytes();
+    if !(flows_per_sec.is_finite() && flows_per_sec > 0.0) {
+        return Err(format!(
+            "arrival rate must be positive and finite, got {flows_per_sec} flows/s"
+        ));
+    }
+    let gap = SimDuration::from_secs_f64(1.0 / flows_per_sec);
+    if gap == SimDuration::ZERO {
+        return Err(format!(
+            "mean flow gap rounds to 0 ns ({flows_per_sec:.3e} flows/s)"
+        ));
+    }
+    Ok(gap)
+}
+
 /// Generates an endless, time-ordered stream of flows.
 #[derive(Debug, Clone)]
 pub struct FlowGenerator {
@@ -50,6 +77,10 @@ impl FlowGenerator {
     /// offered bytes: with `n` ports at `line_rate` each, the aggregate
     /// byte arrival rate is `load · n · line_rate/8`, converted to the
     /// Poisson flow-arrival rate via the size distribution's mean.
+    ///
+    /// # Panics
+    /// Panics if `load` is not finite and positive, or if
+    /// [`mean_flow_gap`] rejects it.
     pub fn with_load(
         matrix: TrafficMatrix,
         sizes: FlowSizeDist,
@@ -58,16 +89,12 @@ impl FlowGenerator {
         rng: SimRng,
     ) -> Self {
         assert!(load > 0.0 && load.is_finite(), "load must be positive");
-        let agg_bytes_per_sec = load * matrix.n() as f64 * line_rate.bytes_per_sec() as f64;
-        let flows_per_sec = agg_bytes_per_sec / sizes.mean_bytes();
-        assert!(
-            flows_per_sec.is_finite() && flows_per_sec > 0.0,
-            "arrival rate must be positive"
-        );
+        let mean_gap =
+            mean_flow_gap(load, matrix.n(), line_rate, &sizes).unwrap_or_else(|e| panic!("{e}"));
         FlowGenerator {
             matrix,
             sizes,
-            mean_gap: SimDuration::from_secs_f64(1.0 / flows_per_sec),
+            mean_gap,
             rng,
             next_id: 0,
             clock: SimTime::ZERO,
@@ -178,6 +205,22 @@ mod tests {
             BitRate::GBPS_10,
             SimRng::new(1),
         );
+    }
+
+    #[test]
+    fn mean_gap_rejects_rates_no_gap_can_draw() {
+        // 8 ports × 1.25 GB/s × load / 10 kB flows: the gap is
+        // 1 µs / load, so it rounds to 1 ns up to load 2000 and to 0 ns
+        // past it.
+        let gap = |load| mean_flow_gap(load, 8, BitRate::GBPS_10, &FlowSizeDist::Fixed(10_000));
+        assert_eq!(gap(0.5), Ok(SimDuration::from_micros(2)));
+        assert_eq!(gap(1900.0), Ok(SimDuration::from_nanos(1)));
+        let err = gap(2100.0).unwrap_err();
+        assert!(err.contains("rounds to 0 ns"), "{err}");
+        for load in [1e300, f64::MAX, f64::INFINITY] {
+            let err = gap(load).unwrap_err();
+            assert!(err.contains("arrival rate"), "load {load}: {err}");
+        }
     }
 
     #[test]

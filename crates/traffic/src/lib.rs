@@ -28,7 +28,7 @@ pub mod packetize;
 pub mod size_dist;
 
 pub use apps::CbrApp;
-pub use flow::{FlowGenerator, FlowSpec};
+pub use flow::{mean_flow_gap, FlowGenerator, FlowSpec};
 pub use matrix::TrafficMatrix;
 pub use packetize::packet_sizes;
 pub use size_dist::FlowSizeDist;

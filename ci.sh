@@ -148,21 +148,37 @@ grep -q '"pool_allocs"' results/ci_counters.json \
 head -1 results/ci_counters.csv | grep -q 'sched_memo_hits' \
     || { echo "ci.sh: counters columns missing from sweep CSV header"; exit 1; }
 
-echo "==> host staging (hosts hold flows, not packets: pool allocations <= events)"
+echo "==> host staging (hosts hold flows, the VOQ bank runs: pool allocations <= events, and bounded by flows)"
 # Every pool entry is pushed by the handler of its own event — a staged
-# flow by its injection or app send, a VOQ packet by its switch arrival —
-# so a run can never allocate more entries than it fires events. Staging
-# each packet of a flow when the flow arrives breaks the bound sevenfold
-# on this heavy-tailed point, whose flows mostly outlast the horizon.
+# flow by its injection or app send, a VOQ run of a flow's consecutive
+# packets by its first packet's switch arrival — so a run can never
+# allocate more entries than it fires events. Staging each packet of a
+# flow when the flow arrives breaks the bound sevenfold on this
+# heavy-tailed point, whose flows mostly outlast the horizon.
+# The VOQ side is bounded by flows, not packets: a host entry is a flow,
+# and a new VOQ run starts only at a flow's first packet, after a drop
+# gap, or after a grant burst emptied the pair (this point has no apps,
+# no faults and hardware placement). Queuing one entry per packet
+# breaks it: 188,964 allocations against a bound of 10,814.
 cargo run --release -q -p xds-bench --bin sweep -- run datamining --ports 32 \
     --loads 0.9 --seeds 101 --duration-ms 50 --counters --threads 1 \
     --out ci_staging >/dev/null
-staging_allocs=$(grep -o '"pool_allocs": [0-9]*' results/ci_staging.json | grep -o '[0-9]*$')
-staging_events=$(grep -o '"events": [0-9]*' results/ci_staging.json | grep -o '[0-9]*$')
-[ -n "$staging_allocs" ] && [ -n "$staging_events" ] \
-    || { echo "ci.sh: staging row lost its pool_allocs or events column"; exit 1; }
+staging_count() {
+    grep -o "\"$1\": [0-9]*" results/ci_staging.json | grep -o '[0-9]*$'
+}
+staging_allocs=$(staging_count pool_allocs)
+staging_events=$(staging_count events)
+staging_flows=$(staging_count offered_flows)
+staging_drops=$(staging_count drop_voq_full)
+staging_bursts=$(staging_count grant_bursts)
+[ -n "$staging_allocs" ] && [ -n "$staging_events" ] && [ -n "$staging_flows" ] \
+    && [ -n "$staging_drops" ] && [ -n "$staging_bursts" ] \
+    || { echo "ci.sh: staging row lost a pool_allocs, events, offered_flows, drop_voq_full or grant_bursts column"; exit 1; }
 [ "$staging_allocs" -le "$staging_events" ] \
     || { echo "ci.sh: $staging_allocs pool allocations for $staging_events events: hosts stage packets, not flows"; exit 1; }
+staging_bound=$((2 * staging_flows + staging_drops + staging_bursts))
+[ "$staging_allocs" -le "$staging_bound" ] \
+    || { echo "ci.sh: $staging_allocs pool allocations against a bound of $staging_bound (2 x $staging_flows flows + $staging_drops drops + $staging_bursts bursts): the VOQ bank queues packets, not runs"; exit 1; }
 
 echo "==> fault injection (a faulted smoke point must visibly degrade, gracefully)"
 # The watchdog flag rides along so the guarded-runner path is the one

@@ -6,7 +6,7 @@
 //!
 //! This is the integration-level face of the determinism contract stated
 //! in `xds_core::runtime::shard`: sharding decides *how* the simulation
-//! executes (per-shard event queues, VOQ banks and packet pools, windowed
+//! executes (per-shard event queues, VOQ banks and pools, windowed
 //! between coordinator events), never *what* it computes. Events,
 //! delivered bytes, drops, latency distributions and the behavioral
 //! counters are invariant in the shard count and in the shape of the

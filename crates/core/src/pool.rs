@@ -1,16 +1,18 @@
 //! The chunked pool: one slab of 4-entry chunks backing any number of
-//! intrusive FIFOs of one entry type.
+//! intrusive FIFOs of one entry type, and the `Staged` run that both of
+//! its users queue.
 //!
-//! Two pools use it. The switch-side VOQ bank
-//! ([`crate::processing::ProcessingLogic`]) queues 32-byte [`Packet`]
-//! descriptors in a `Pool<Packet>`; each shard's hosts stage whole flows
-//! in a `Pool` of 40-byte staged-flow entries (the staging queues and the
-//! slow-mode host VOQs in [`crate::runtime`]), cutting one packet off the
-//! front entry each time the NIC sends. A queue is a [`Fifo`] — a
-//! 12-byte header naming a chunk run inside the pool — so moving an entry
-//! touches one pool slot and one compact header, enqueue order is
+//! Two pools use it, and both hold 40-byte `Staged` entries, each a run
+//! of one flow's consecutive packets. The switch-side VOQ bank
+//! ([`crate::processing::ProcessingLogic`]) appends an arriving packet to
+//! its VOQ's tail run when the packet continues it; each shard's hosts
+//! stage a whole flow (or app send) as one entry (the staging queues and
+//! the slow-mode host VOQs in [`crate::runtime`]). Both cut one packet
+//! off the front run each time one leaves. A queue is a [`Fifo`] — a
+//! 12-byte header naming a chunk list inside the pool — so moving an
+//! entry touches one pool slot and one compact header, enqueue order is
 //! preserved exactly, and freed chunks recycle through a FIFO free list
-//! (runs freed together are reused together, keeping traversals in
+//! (chunks freed together are reused together, keeping traversals in
 //! allocation order).
 //!
 //! The pool tracks live entries and in-use chunks so callers can assert
@@ -19,17 +21,17 @@
 //! dropped *before* admission never touches the pool (so it cannot leak
 //! or double-free a chunk).
 
-use xds_net::Packet;
+use xds_net::{Packet, PortNo, TrafficClass};
+use xds_sim::SimTime;
 
 const NIL: u32 = u32::MAX;
 
-/// Entries per pool chunk: four packets (32 B) or staged flows (40 B)
-/// plus the link fit in three cache lines, and a FIFO touches a new
-/// chunk only every fourth entry.
+/// Entries per pool chunk: four 40-byte runs plus the link fit in three
+/// cache lines, and a FIFO touches a new chunk only every fourth entry.
 pub const CHUNK_LEN: usize = 4;
 
-/// A pooled run of consecutive entries belonging to one FIFO, linked into
-/// that FIFO's chunk list.
+/// A pooled block of consecutive entries belonging to one FIFO, linked
+/// into that FIFO's chunk list.
 #[derive(Debug, Clone)]
 struct Chunk<T> {
     items: [T; CHUNK_LEN],
@@ -205,6 +207,16 @@ impl<T: Copy> Pool<T> {
         Some(&mut self.chunks[f.head as usize].items[f.head_off as usize])
     }
 
+    /// The entry at the back of `f`, mutably, if any: the VOQ bank
+    /// appends an arriving packet to its tail run in place.
+    #[inline]
+    pub fn back_mut<'a>(&'a mut self, f: &Fifo) -> Option<&'a mut T> {
+        if f.tail == NIL {
+            return None;
+        }
+        Some(&mut self.chunks[f.tail as usize].items[f.tail_len as usize - 1])
+    }
+
     /// Removes and returns the front entry of `f`, releasing its chunk
     /// to the free list when the last live entry leaves it.
     #[inline]
@@ -317,62 +329,153 @@ impl<T: Copy> Pool<T> {
     }
 }
 
-impl Pool<Packet> {
-    /// Dequeues packets from the front of `f` while their cumulative size
-    /// fits within `budget_bytes`, appending them to `out`. Returns the
-    /// bytes drained (grant execution's budgeted dequeue, kept here so
-    /// the chunk walk stays inside the pool).
-    pub fn drain_budget_into(
+/// A run of one flow's consecutive packets, not yet cut: flow id, ports,
+/// class, creation time, bytes left, next `seq` and segment size. Hosts
+/// stage a whole flow or app send as one run; the VOQ bank grows its
+/// tail run by each packet that continues it ([`append`](Self::append)).
+/// Whoever sends cuts one packet off the front run at a time, so a queue
+/// holds one pool slot per run however many packets it becomes.
+///
+/// Cutting reproduces eager packetization exactly: packet `seq` carries
+/// `min(left, seg)` bytes — full segments, then the tail — and the
+/// run's creation time, and each queue is FIFO over whole runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Staged {
+    flow: u64,
+    created: SimTime,
+    /// Bytes not yet cut into packets.
+    pub(crate) left: u64,
+    src: PortNo,
+    dst: PortNo,
+    class: TrafficClass,
+    /// `seq` of the next packet.
+    seq: u32,
+    /// Segment size: the MTU for a flow, the packet size for an app send,
+    /// the first packet's size for a VOQ run.
+    seg: u32,
+}
+
+// Four runs and the link fit in three cache lines (see `CHUNK_LEN`).
+const _: () = assert!(std::mem::size_of::<Staged>() == 40);
+
+impl Staged {
+    /// `bytes` of flow `flow` created at `created`, cut into `seg`-byte
+    /// packets. A zero-byte entry still yields one (empty) packet: only
+    /// app sends stage one, as a flow of no bytes stages nothing.
+    pub(crate) fn new(
+        flow: u64,
+        src: PortNo,
+        dst: PortNo,
+        bytes: u64,
+        class: TrafficClass,
+        created: SimTime,
+        seg: u32,
+    ) -> Self {
+        Staged {
+            flow,
+            created,
+            left: bytes,
+            src,
+            dst,
+            class,
+            seq: 0,
+            seg,
+        }
+    }
+
+    /// The run of the one packet `p`, whose size is the run's segment:
+    /// cutting it yields `p` back.
+    pub(crate) fn of_packet(p: &Packet) -> Self {
+        Staged {
+            flow: p.flow,
+            created: p.created,
+            left: p.bytes as u64,
+            src: p.src,
+            dst: p.dst,
+            class: p.class,
+            seq: p.seq,
+            seg: p.bytes,
+        }
+    }
+
+    /// Size of the next packet.
+    pub(crate) fn front_bytes(&self) -> u32 {
+        self.left.min(self.seg as u64) as u32
+    }
+
+    /// Cuts the next packet off the front; the entry is spent once
+    /// `left` reaches zero.
+    fn cut(&mut self) -> Packet {
+        let bytes = self.front_bytes();
+        let pkt = Packet::new(
+            self.flow,
+            self.src,
+            self.dst,
+            bytes,
+            self.class,
+            self.created,
+            self.seq,
+        );
+        self.left -= bytes as u64;
+        self.seq = self.seq.wrapping_add(1);
+        pkt
+    }
+
+    /// Appends `p` to the back of the run when it continues it: same
+    /// flow, class and creation time, `seq` right after the run's last
+    /// packet, that last packet a full segment, and `p` non-empty and no
+    /// larger than one. Cutting then yields the run's packets and `p`, in
+    /// order. Returns whether `p` was appended. The caller keeps the run
+    /// on `p`'s `(src, dst)` queue, so the ports match too.
+    pub(crate) fn append(&mut self, p: &Packet) -> bool {
+        // The run's k packets left are all full segments exactly when
+        // `left == k · seg`, and then `p` is packet `seq + k`. Runs with
+        // `left == 0` are empty packets of segment 0, which nothing fits.
+        let k = p.seq.wrapping_sub(self.seq) as u64;
+        let continues = p.flow == self.flow
+            && p.class == self.class
+            && p.created == self.created
+            && p.bytes > 0
+            && p.bytes <= self.seg
+            && self.left == k * self.seg as u64;
+        if continues {
+            self.left += p.bytes as u64;
+        }
+        continues
+    }
+}
+
+impl Pool<Staged> {
+    /// Cuts the next packet off the front run of `q`, popping the run
+    /// when its last byte leaves.
+    #[inline]
+    pub(crate) fn cut_front(&mut self, q: &mut Fifo) -> Option<Packet> {
+        let front = self.front_mut(q)?;
+        let pkt = front.cut();
+        if front.left == 0 {
+            self.pop(q);
+        }
+        Some(pkt)
+    }
+
+    /// Cuts packets off the front of `q` while their cumulative size fits
+    /// within `budget_bytes`, appending them to `out`. Returns the bytes
+    /// cut (grant execution's budgeted dequeue). A budget may split a
+    /// run: its rest stays at the front.
+    pub(crate) fn cut_upto_into(
         &mut self,
-        f: &mut Fifo,
+        q: &mut Fifo,
         budget_bytes: u64,
         out: &mut Vec<Packet>,
     ) -> u64 {
-        let mut head = f.head;
-        if head == NIL {
-            return 0;
-        }
-        let mut off = f.head_off;
-        let tail = f.tail;
-        let tail_len = f.tail_len;
         let mut used = 0u64;
-        'drain: while head != NIL {
-            let limit = if head == tail {
-                tail_len
-            } else {
-                CHUNK_LEN as u8
-            };
-            while off < limit {
-                let pkt = self.chunks[head as usize].items[off as usize];
-                let b = pkt.bytes as u64;
-                if used + b > budget_bytes {
-                    break 'drain;
-                }
-                used += b;
-                self.live -= 1;
-                self.frees += 1;
-                out.push(pkt);
-                off += 1;
-            }
-            if head == tail {
-                // Tail chunk exhausted: the FIFO is empty.
-                if off == tail_len {
-                    self.free_chunk(head);
-                    head = NIL;
-                    off = 0;
-                }
+        while let Some(run) = self.front(q) {
+            let b = run.front_bytes() as u64;
+            if used + b > budget_bytes {
                 break;
             }
-            let next = self.chunks[head as usize].next;
-            self.free_chunk(head);
-            head = next;
-            off = 0;
-        }
-        f.head = head;
-        f.head_off = off;
-        if head == NIL {
-            f.tail = NIL;
-            f.tail_len = 0;
+            used += b;
+            out.push(self.cut_front(q).expect("front exists"));
         }
         used
     }
@@ -381,8 +484,6 @@ impl Pool<Packet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xds_net::{PortNo, TrafficClass};
-    use xds_sim::SimTime;
 
     /// `seq` doubles as the packet's FIFO marker.
     fn pkt(seq: u32, bytes: u32) -> Packet {
@@ -393,6 +494,19 @@ mod tests {
             bytes,
             TrafficClass::Bulk,
             SimTime::ZERO,
+            seq,
+        )
+    }
+
+    /// Packet `seq` of flow 7.
+    fn flow_pkt(seq: u32, bytes: u32) -> Packet {
+        Packet::new(
+            7,
+            PortNo(0),
+            PortNo(1),
+            bytes,
+            TrafficClass::Bulk,
+            SimTime::from_nanos(5),
             seq,
         )
     }
@@ -452,20 +566,20 @@ mod tests {
         let mut f = Fifo::new();
         pool.check_conserved().expect("empty pool conserves");
         for i in 0..9 {
-            pool.push(&mut f, pkt(i, 100));
+            pool.push(&mut f, Staged::of_packet(&pkt(i, 100)));
         }
         assert_eq!(pool.alloc_count(), 9);
         assert_eq!(pool.live_peak(), 9);
-        assert_eq!(pool.chunk_growth_count(), 3, "9 packets = 3 fresh chunks");
+        assert_eq!(pool.chunk_growth_count(), 3, "9 runs = 3 fresh chunks");
         pool.check_conserved().expect("mid-run ledger balances");
         let mut out = Vec::new();
-        pool.drain_budget_into(&mut f, u64::MAX, &mut out);
+        pool.cut_upto_into(&mut f, u64::MAX, &mut out);
         assert_eq!(pool.free_count(), 9);
         assert_eq!(pool.live_peak(), 9, "peak survives the drain");
         pool.check_conserved().expect("drained pool conserves");
         // Re-fill reuses chunks: growth count must not move.
         for i in 0..9 {
-            pool.push(&mut f, pkt(i, 100));
+            pool.push(&mut f, Staged::of_packet(&pkt(i, 100)));
         }
         assert_eq!(pool.chunk_growth_count(), 3);
         assert_eq!(pool.live_peak(), 9);
@@ -505,27 +619,73 @@ mod tests {
 
     #[test]
     fn drain_budget_respects_budget_and_frees_once() {
+        // One run of five full segments, then a one-packet run.
         let mut pool = Pool::new();
         let mut f = Fifo::new();
-        for i in 0..5 {
-            pool.push(&mut f, pkt(i, 1500));
-        }
+        let flow = Staged::new(
+            7,
+            PortNo(0),
+            PortNo(1),
+            7500,
+            TrafficClass::Bulk,
+            SimTime::ZERO,
+            1500,
+        );
+        pool.push(&mut f, flow);
+        pool.push(&mut f, Staged::of_packet(&pkt(9, 700)));
         let before_chunks = pool.chunks_in_use();
         let mut out = Vec::new();
-        let used = pool.drain_budget_into(&mut f, 4000, &mut out);
+        let used = pool.cut_upto_into(&mut f, 4000, &mut out);
         assert_eq!(used, 3000);
-        assert_eq!(out.len(), 2);
-        assert_eq!(pool.live(), 3);
-        // Draining within the head chunk frees nothing yet.
+        assert_eq!(out.iter().map(|p| p.seq).collect::<Vec<_>>(), [0, 1]);
+        // The budget split the run: its rest stays at the front.
+        assert_eq!(pool.live(), 2);
+        assert_eq!(pool.front(&f).map(|r| (r.seq, r.left)), Some((2, 4500)));
         assert_eq!(pool.chunks_in_use(), before_chunks);
-        let used = pool.drain_budget_into(&mut f, u64::MAX, &mut out);
-        assert_eq!(used, 4500);
+        let used = pool.cut_upto_into(&mut f, u64::MAX, &mut out);
+        assert_eq!(used, 5200);
+        assert_eq!(out.iter().map(|p| p.bytes).sum::<u32>(), 8200);
+        assert_eq!(out.last().map(|p| (p.flow, p.seq)), Some((9, 9)));
         assert!(f.is_empty());
         assert_eq!(pool.chunks_in_use(), 0);
         pool.debug_assert_conserved();
         // A second drain on the empty FIFO must be a no-op, not a
         // double free.
-        assert_eq!(pool.drain_budget_into(&mut f, u64::MAX, &mut out), 0);
+        assert_eq!(pool.cut_upto_into(&mut f, u64::MAX, &mut out), 0);
         assert_eq!(pool.chunks_in_use(), 0);
+    }
+
+    #[test]
+    fn runs_append_only_the_packets_that_continue_them() {
+        let full = |seq| flow_pkt(seq, 1500);
+        let mut run = Staged::of_packet(&full(3));
+        assert!(run.append(&full(4)), "next seq, full segment");
+        assert!(
+            !run.append(&full(4)),
+            "a repeated seq is not a continuation"
+        );
+        assert!(!run.append(&full(6)), "a drop gap starts a new run");
+        assert!(
+            !run.append(&flow_pkt(5, 0)),
+            "an empty packet starts a new run"
+        );
+        assert!(!run.append(&flow_pkt(5, 1501)), "larger than the segment");
+        let mut other = full(5);
+        other.flow = 8;
+        assert!(!run.append(&other), "another flow");
+        let mut other = full(5);
+        other.class = TrafficClass::Short;
+        assert!(!run.append(&other), "another class");
+        let mut other = full(5);
+        other.created = SimTime::ZERO;
+        assert!(!run.append(&other), "another creation time");
+        assert!(run.append(&flow_pkt(5, 900)), "a short tail");
+        assert!(!run.append(&full(6)), "nothing follows a short tail");
+        assert!(!Staged::of_packet(&flow_pkt(0, 0)).append(&full(1)));
+        let mut cut = Vec::new();
+        while run.left > 0 {
+            cut.push(run.cut());
+        }
+        assert_eq!(cut, [full(3), full(4), flow_pkt(5, 900)]);
     }
 }

@@ -27,7 +27,7 @@
 //! Simulations are assembled with [`SimBuilder`], which returns a typed
 //! [`BuildError`] instead of panicking on bad input.
 
-use xds_net::{Packet, PortNo, TrafficClass};
+use xds_net::{Packet, TrafficClass};
 use xds_sim::{EventQueue, SimDuration, SimRng, SimTime, TxTimeCache};
 use xds_switch::{BufferTracker, Site};
 use xds_traffic::FlowSpec;
@@ -37,7 +37,7 @@ use crate::demand::{DemandEstimator, DemandMatrix, MirrorEstimator, SchedRequest
 use crate::fault::{FaultPlan, FaultState, SlotFault};
 use crate::instrument::{DropCause, EpochSample, InstrProfile, Instrumentation, APP_FLOW_BASE};
 use crate::node::Workload;
-use crate::pool::{Fifo, Pool};
+use crate::pool::{Fifo, Pool, Staged};
 use crate::processing::ProcessingLogic;
 use crate::report::{DropStats, EpochPhaseNs, RunReport};
 use crate::sched::{Schedule, ScheduleCtx, Scheduler};
@@ -81,93 +81,6 @@ enum Ev {
     LinkFault,
     /// A previously failed port repairs.
     LinkRepair { port: usize },
-}
-
-/// A flow staged at its source host: the part not yet sent. The NIC cuts
-/// one packet off the front entry of a staging queue or host VOQ each
-/// time it sends, so a flow occupies one pool slot however many packets
-/// it becomes, and a packet exists only once it leaves the host.
-///
-/// Cutting reproduces eager packetization exactly: packet `seq` carries
-/// `min(left, seg)` bytes — full segments, then the tail — and the
-/// flow's creation time, and each queue is FIFO over whole flows.
-#[derive(Debug, Clone, Copy)]
-struct Staged {
-    flow: u64,
-    created: SimTime,
-    /// Bytes not yet cut into packets.
-    left: u64,
-    src: PortNo,
-    dst: PortNo,
-    class: TrafficClass,
-    /// `seq` of the next packet.
-    seq: u32,
-    /// Segment size: the MTU for a flow, the packet size for an app send.
-    seg: u32,
-}
-
-// Four entries and the link fit in three cache lines, like a chunk of
-// four packets in the VOQ bank's pool.
-const _: () = assert!(std::mem::size_of::<Staged>() == 40);
-
-impl Staged {
-    /// `bytes` of flow `flow` created at `created`, cut into `seg`-byte
-    /// packets. A zero-byte entry still yields one (empty) packet: only
-    /// app sends stage one, as a flow of no bytes stages nothing.
-    fn new(
-        flow: u64,
-        src: PortNo,
-        dst: PortNo,
-        bytes: u64,
-        class: TrafficClass,
-        created: SimTime,
-        seg: u32,
-    ) -> Self {
-        Staged {
-            flow,
-            created,
-            left: bytes,
-            src,
-            dst,
-            class,
-            seq: 0,
-            seg,
-        }
-    }
-
-    /// Size of the next packet.
-    fn front_bytes(&self) -> u32 {
-        self.left.min(self.seg as u64) as u32
-    }
-
-    /// Cuts the next packet off the front; the entry is spent once
-    /// `left` reaches zero.
-    fn cut(&mut self) -> Packet {
-        let bytes = self.front_bytes();
-        let pkt = Packet::new(
-            self.flow,
-            self.src,
-            self.dst,
-            bytes,
-            self.class,
-            self.created,
-            self.seq,
-        );
-        self.left -= bytes as u64;
-        self.seq = self.seq.wrapping_add(1);
-        pkt
-    }
-}
-
-/// Cuts the next packet off the front entry of `q`, popping the entry
-/// when its last byte leaves.
-fn cut_front(pool: &mut Pool<Staged>, q: &mut Fifo) -> Option<Packet> {
-    let front = pool.front_mut(q)?;
-    let pkt = front.cut();
-    if front.left == 0 {
-        pool.pop(q);
-    }
-    Some(pkt)
 }
 
 /// Per-host state. Field order is deliberate: the pump path (once per
@@ -248,7 +161,7 @@ impl Host {
         } else {
             &mut self.q_bulk
         };
-        cut_front(pool, q)
+        pool.cut_front(q)
     }
 
     /// The actual (switch-clock) instant at which this host's clock reads
@@ -352,7 +265,7 @@ struct SimState {
 
     /// Deterministic internal counters, merged from the scheduler's
     /// per-epoch observability deltas as the run goes and from the
-    /// event queues / packet pools' ledgers at the end. Plain u64 adds,
+    /// event queues' and pools' ledgers at the end. Plain u64 adds,
     /// always on.
     counters: CounterSet,
     /// The flight recorder, present only when the build requested
@@ -821,6 +734,7 @@ mod tests {
     use crate::sched::{EpsOnlyScheduler, HotspotScheduler, IslipScheduler};
     use std::collections::VecDeque;
     use xds_hw::{HwAlgo, HwSchedulerModel, SwSchedulerModel};
+    use xds_net::PortNo;
     use xds_sim::BitRate;
     use xds_traffic::{CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
 
@@ -993,7 +907,7 @@ mod tests {
                     break;
                 }
                 used += bytes as u64;
-                let cut = cut_front(&mut pool, &mut host.voq[dst]);
+                let cut = pool.cut_front(&mut host.voq[dst]);
                 assert_eq!(cut, want.pop_front());
             }
         }
@@ -1006,8 +920,11 @@ mod tests {
         // 20 MB flows: a host serializes ~2.5 MB in the 2 ms horizon, so
         // nearly every packet is still staged when the run ends. Each pool
         // entry is pushed by its own event's handler (a flow by its
-        // injection, a VOQ packet by its switch arrival), so the pool can
-        // never allocate more often than events fire.
+        // injection, a VOQ run by its first packet's switch arrival), so
+        // the pool can never allocate more often than events fire. A host
+        // sends its bulk flows one after another, so a new VOQ run starts
+        // only at a flow's first packet, after a drop gap, or after a
+        // grant burst emptied the pair.
         let n = 8;
         let gen = FlowGenerator::with_load(
             TrafficMatrix::uniform(n),
@@ -1033,6 +950,12 @@ mod tests {
             "{} pool allocations for {} events",
             r.counters.pool_allocs,
             r.events
+        );
+        let runs_bound = 2 * r.offered_flows + r.drops.voq_full + r.counters.grant_bursts;
+        assert!(
+            r.counters.pool_allocs <= runs_bound,
+            "{} pool allocations against a bound of {runs_bound}",
+            r.counters.pool_allocs
         );
     }
 
@@ -1873,7 +1796,15 @@ mod tests {
     #[test]
     fn shard_map_validates_density_and_port_space() {
         assert!(ShardMap::from_assignment(vec![0, 2]).is_err(), "hole at 1");
+        assert!(
+            ShardMap::from_assignment(vec![1, 0, 3, 0]).is_err(),
+            "hole at 2"
+        );
         assert!(ShardMap::from_assignment(Vec::new()).is_err());
+        // Ids far past the port count are rejected before anything is
+        // sized by them (no overflow, no huge allocation).
+        assert!(ShardMap::from_assignment(vec![0, usize::MAX]).is_err());
+        assert!(ShardMap::from_assignment(vec![usize::MAX / 2, 0]).is_err());
         let m = ShardMap::contiguous(8, 3);
         assert_eq!(m.k(), 3);
         let mut counts = vec![0usize; 3];

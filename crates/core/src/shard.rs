@@ -84,10 +84,17 @@ impl ShardMap {
     }
 
     /// Builds a map from an explicit `port → shard` table. Shard ids
-    /// must be dense (`0..k` with every id used).
+    /// must be dense (`0..k` with every id used), so each lies below the
+    /// port count.
     pub fn from_assignment(assign: Vec<usize>) -> Result<Self, String> {
         if assign.is_empty() {
             return Err("shard assignment is empty".into());
+        }
+        let ports = assign.len();
+        if let Some(&s) = assign.iter().find(|&&s| s >= ports) {
+            return Err(format!(
+                "shard id {s} out of range: {ports} ports allow dense ids below {ports}"
+            ));
         }
         let k = assign.iter().max().copied().unwrap_or(0) + 1;
         let mut used = vec![false; k];
@@ -384,7 +391,7 @@ impl Shard {
                     if cursor + tx > end_seen {
                         break;
                     }
-                    let pkt = cut_front(&mut self.pool, &mut h.voq[dst]).expect("peeked");
+                    let pkt = self.pool.cut_front(&mut h.voq[dst]).expect("peeked");
                     let dep = cursor + tx;
                     cursor = dep;
                     h.voq_bytes[dst] -= bytes;
@@ -540,9 +547,10 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
             pool_allocs: s.pool.alloc_count() + a,
             pool_frees: s.pool.free_count() + f,
             // Per shard: host-pool peak (staged flows) + VOQ-bank peak
-            // (packets). The pools never trade entries, so the sum is a
-            // deterministic combined ceiling. Across shards the merge
-            // takes the max — the documented peak semantic.
+            // (runs of a flow's consecutive packets). The pools never
+            // trade entries, so the sum is a deterministic combined
+            // ceiling. Across shards the merge takes the max — the
+            // documented peak semantic.
             pool_live_peak: s.pool.live_peak() + pk,
             pool_chunk_growths: s.pool.chunk_growth_count() + g,
             ..Default::default()

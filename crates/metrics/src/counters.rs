@@ -48,11 +48,12 @@ pub struct CounterSet {
     pub queue_spills: u64,
     /// Ladder-queue sparse replenishes that bypassed bucketing.
     pub queue_direct_sorts: u64,
-    /// Packets allocated from the shared pool.
+    /// Entries pushed into the pools: a staged flow or app send at a
+    /// host, a run of one flow's consecutive packets in the VOQ bank.
     pub pool_allocs: u64,
-    /// Packets returned to the shared pool.
+    /// Entries popped from the pools.
     pub pool_frees: u64,
-    /// High-water mark of live pooled packets.
+    /// High-water mark of live pool entries.
     pub pool_live_peak: u64,
     /// Slab chunk allocations (pool capacity growth events).
     pub pool_chunk_growths: u64,

@@ -180,6 +180,20 @@ staging_bound=$((2 * staging_flows + staging_drops + staging_bursts))
 [ "$staging_allocs" -le "$staging_bound" ] \
     || { echo "ci.sh: $staging_allocs pool allocations against a bound of $staging_bound (2 x $staging_flows flows + $staging_drops drops + $staging_bursts bursts): the VOQ bank queues packets, not runs"; exit 1; }
 
+echo "==> VOQ bank sized by traffic (records only for the pairs the traffic reaches)"
+# The bank makes a pair's record when the pair's first packet is
+# admitted, so a run holds records for the pairs its traffic reaches,
+# not for all n². scale-stress-1024's multi-ring sends to 4 of 1024
+# destinations per source: 4,096 non-zero cells of 1,048,576. A bank
+# that wrote a record for every pair would hold all of them.
+cargo run --release -q -p xds-bench --bin sweep -- run scale-stress-1024 \
+    --duration-ms 1 --counters --threads 1 --out ci_voq_pairs >/dev/null
+voq_pairs=$(grep -o '"voq_pairs": [0-9]*' results/ci_voq_pairs.json | grep -o '[0-9]*$')
+[ -n "$voq_pairs" ] \
+    || { echo "ci.sh: scale-stress-1024 row lost its voq_pairs column"; exit 1; }
+[ "$voq_pairs" -gt 0 ] && [ "$voq_pairs" -le $((4 * 1024)) ] \
+    || { echo "ci.sh: $voq_pairs VOQ pair records on scale-stress-1024: want 1 to 4096, the multi-ring's non-zero cells"; exit 1; }
+
 echo "==> fault injection (a faulted smoke point must visibly degrade, gracefully)"
 # The watchdog flag rides along so the guarded-runner path is the one
 # CI exercises; 600 s is a liveness bound, not a measurement.

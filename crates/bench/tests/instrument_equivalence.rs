@@ -73,6 +73,11 @@ fn lean_profile_matches_full_on_every_bench_point() {
             "{}: lean changed drop accounting",
             spec.name
         );
+        assert_eq!(
+            full.counters.voq_pairs, lean.counters.voq_pairs,
+            "{}: lean changed the VOQ pairs the traffic reached",
+            spec.name
+        );
         // And the lean point actually skipped the observation work.
         assert_eq!(lean.latency_bulk.count(), 0, "{}", spec.name);
         assert_eq!(lean.completed_flows, 0, "{}", spec.name);
@@ -96,6 +101,11 @@ fn timeseries_profile_observes_without_perturbing() {
             .run()
             .unwrap();
         assert_eq!(full.events, ts.events, "{}", spec.name);
+        assert_eq!(
+            full.counters.voq_pairs, ts.counters.voq_pairs,
+            "{}",
+            spec.name
+        );
         assert_eq!(
             full.delivered_bytes(),
             ts.delivered_bytes(),

@@ -20,16 +20,17 @@ use xds_scenario::{library, ScenarioSpec};
 use xds_sim::{SimDuration, SimTime};
 
 /// Counters that are shard-count-invariant by contract: pure functions
-/// of the scheduler/grant/delivery event sequence, which every shard
-/// layout reproduces exactly. The structural ledgers (`queue_*`, `pool_*`)
+/// of the scheduler/grant/delivery event sequence and of the pairs the
+/// traffic reached, which every shard layout reproduces exactly. The structural ledgers (`queue_*`, `pool_*`)
 /// are excluded — they describe the executor's own data structures, of
 /// which a K-shard run legitimately has K.
-const BEHAVIORAL_COUNTERS: [&str; 15] = [
+const BEHAVIORAL_COUNTERS: [&str; 16] = [
     "sched_memo_hits",
     "sched_hk_runs",
     "sched_probes",
     "sched_worklist_peak",
     "sched_bucket_peak",
+    "voq_pairs",
     "grant_bursts",
     "grant_pkts_max",
     "delivery_batches",

@@ -255,23 +255,6 @@ impl DemandMatrix {
         self.rebuild_support();
     }
 
-    /// Overwrites every entry from a row-major iterator (the strided
-    /// gather the VOQ bank uses when occupancy lives inside per-pair
-    /// records rather than a dense array).
-    ///
-    /// # Panics
-    /// Panics if the iterator does not yield exactly `n²` entries.
-    pub fn fill_from(&mut self, src: impl Iterator<Item = u64>) {
-        let mut wrote = 0;
-        for v in src {
-            assert!(wrote < self.bytes.len(), "more than n² entries");
-            self.bytes[wrote] = v;
-            wrote += 1;
-        }
-        assert_eq!(wrote, self.n * self.n, "need n² entries");
-        self.rebuild_support();
-    }
-
     /// The row-major backing store (read-only view for flat iteration).
     pub fn as_slice(&self) -> &[u64] {
         &self.bytes
@@ -507,9 +490,6 @@ mod tests {
         let mut cells: Vec<u32> = m.support().unwrap().to_vec();
         cells.sort_unstable();
         assert_eq!(cells, vec![1, 3]);
-        m.fill_from([7, 0, 0, 0].into_iter());
-        assert_support_covers(&m);
-        assert_eq!(m.support().unwrap(), &[0]);
         let other = DemandMatrix::from_vec(2, vec![0, 0, 3, 0]);
         m.copy_from(&other);
         assert_support_covers(&m);

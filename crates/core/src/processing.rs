@@ -8,102 +8,119 @@
 //!
 //! No look-up runs here: a flow's class is set when the flow is generated
 //! (from the flow-size threshold), so by the time a packet reaches the VOQ
-//! bank it carries its class and egress. This module owns the N×N
-//! queues, the request generation (dirty-pair tracking), and grant
-//! execution (budgeted dequeue).
+//! bank it carries its class and egress. This module owns the VOQs of the
+//! pairs that traffic reaches, the request generation (dirty-pair
+//! tracking), and grant execution (budgeted dequeue).
+//!
+//! A bank keeps state only for the pairs its packets reach: a record is
+//! made when a pair's first packet is admitted, so a run's VOQ state
+//! grows with the pairs its traffic touches, not with n². The trade-off
+//! is on dense traffic: a pair costs a record of at most 40 B plus a
+//! hash-map entry (8 B and a control byte), where a dense `n × n` array
+//! of 32 B records would cost 32 B. No workload runs a large dense exact
+//! fabric (sweep-grid is dense at 16/32 ports, kilofabric's multi-ring
+//! sends to 4 of 1024/2048 destinations per source), so there is one
+//! layout and no switch between two.
 
+use xds_metrics::FastHashMap;
 use xds_net::Packet;
 use xds_sim::SimTime;
 
 use crate::demand::{DemandMatrix, SchedRequest};
 use crate::pool::{Fifo, Pool, Staged};
 
-/// Per-pair bookkeeping kept beside the dense occupancy array.
-#[derive(Debug, Default)]
+/// One pair's VOQ record: its run FIFO, byte counts and dirty flag.
+#[derive(Debug)]
 struct PairState {
     /// Cumulative bytes ever enqueued (for rate estimators).
     arrived_total: u64,
+    /// Bytes queued now.
+    queued: u64,
     /// The pair's packets, as an intrusive FIFO of runs in the shared
     /// pool.
     fifo: Fifo,
-    queued: u64,
+    /// The pair's global ports.
+    src: u32,
+    dst: u32,
     /// Whether this pair is in the dirty list.
     dirty: bool,
 }
 
+// A record stays within 40 B: on a dense fabric it costs at most 8 B a
+// pair more than a dense array's 32 B entry (plus its map entry).
+const _: () = assert!(std::mem::size_of::<PairState>() <= 40);
+
+/// Entries in the lookup cache, which is direct-mapped by source port.
+const CACHE_LEN: usize = 64;
+
+/// An empty cache line: no pair has this key (keys are below
+/// `n² < 2³² − 1`).
+const NO_KEY: u32 = u32::MAX;
+
 /// The VOQ bank plus request bookkeeping.
 ///
-/// Storage is built for the per-packet hot path: all `n²` VOQs share one
-/// **run pool** ([`Pool`] — a free-list slab of 4-entry chunks) and each
-/// VOQ is an intrusive FIFO of *runs*, each holding one flow's
-/// consecutive packets. An arriving packet that continues its VOQ's
-/// tail run (same flow, the next `seq`, after a full segment) only grows
-/// that run's byte count; any other packet opens a new run. A grant cuts
-/// packets off the front run, so the bank hands out exactly the packets
-/// it was given, in order, while a backlog costs one pool slot per run
-/// rather than per packet. Each pair's record is one compact struct, and
-/// queued bytes are maintained incrementally, so the per-epoch
-/// ground-truth snapshot is a flat copy, and dirty pairs are kept in an
-/// explicit list so request generation touches only the pairs that
-/// changed — at 256 ports and above full-matrix scans and scattered
-/// per-queue state dominated both the epoch loop and the packet path.
+/// Records live in a slab in first-touch order and are found through a
+/// deterministic fast-hash map keyed by the global pair `src·n + dst`.
+/// In front of the map sits a small cache, direct-mapped by source port,
+/// holding the key and slot of the pair each source last enqueued to: a
+/// host sends a flow's packets back-to-back, so the common enqueue — and
+/// a grant to the pair its source is feeding — makes no hash probe. A
+/// record, once made, stays: a drained pair keeps its cumulative byte
+/// count, and a pair without one reads as an empty VOQ.
+///
+/// Each VOQ is an intrusive FIFO of *runs* in one shared **run pool**
+/// ([`Pool`] — a free-list slab of 4-entry chunks), each run holding one
+/// flow's consecutive packets. An arriving packet that continues its
+/// VOQ's tail run (same flow, the next `seq`, after a full segment) only
+/// grows that run's byte count; any other packet opens a new run. A grant
+/// cuts packets off the front run, so the bank hands out exactly the
+/// packets it was given, in order, while a backlog costs one pool slot
+/// per run rather than per packet. Queued bytes are maintained
+/// incrementally, and dirty pairs are kept in an explicit list, so
+/// request generation touches only the pairs that changed.
+///
+/// A bank holds whatever pairs it is handed: a sharded core gives each
+/// shard its own bank and routes a packet to the bank of the shard that
+/// owns its source, so the banks' records partition the fabric's pairs.
 #[derive(Debug)]
 pub struct ProcessingLogic {
     n: usize,
     voq_capacity: u64,
     /// Shared chunk pool backing every VOQ FIFO.
     pool: Pool<Staged>,
+    /// The records, in first-touch order.
     pairs: Vec<PairState>,
-    /// Indices currently flagged dirty, unsorted (sorted on take).
-    dirty_list: Vec<u32>,
+    /// Pair key `src·n + dst` → slot in `pairs`.
+    slots: FastHashMap<u32, u32>,
+    /// `(key, slot)` of the pair source `s` last enqueued to, at
+    /// `s % CACHE_LEN`. Boxed: a sharded core keeps one bank per shard
+    /// and walks every shard each epoch, so the bank stays small.
+    cache: Box<[(u32, u32); CACHE_LEN]>,
+    /// The pairs flagged dirty as `key << 32 | slot`, unsorted (sorted on
+    /// take, so requests come out in ascending `(src, dst)` order).
+    dirty_list: Vec<u64>,
     /// Incrementally-maintained sum of `queued` (O(1) ground-truth total).
     total_queued: u64,
-    /// Row-windowed banks (sharded cores): the sorted global source rows
-    /// this bank owns (`rows[local] = global`) and the inverse map
-    /// (`row_of[global] = local`, `u32::MAX` for rows owned elsewhere).
-    /// `None` means the bank covers all `n` rows (the full layout) and
-    /// indexes without the extra lookup.
-    rows: Option<(Vec<u32>, Vec<u32>)>,
 }
 
 impl ProcessingLogic {
-    /// Creates an `n × n` VOQ bank with `voq_capacity` bytes per queue.
+    /// Creates an empty VOQ bank for an `n`-port fabric with
+    /// `voq_capacity` bytes per queue. It holds no record until a packet
+    /// arrives.
     pub fn new(n: usize, voq_capacity: u64) -> Self {
-        Self::with_rows(n, voq_capacity, (0..n).collect())
-    }
-
-    /// Creates a bank owning only the given *source rows* of an `n × n`
-    /// fabric — a shard's slice of the VOQ matrix. Storage is
-    /// `rows.len() × n` instead of `n²`, so K shards of an n-port fabric
-    /// together use the full footprint while each stays cache-compact.
-    /// `rows` is sorted internally, so request order (ascending global
-    /// `(src, dst)`) is preserved regardless of input order; an empty
-    /// `rows` yields an inert bank (every accessor returns zeroes), and
-    /// all `n` rows yield exactly [`new`](Self::new)'s bank.
-    ///
-    /// # Panics
-    /// Panics if a row index repeats or is out of range.
-    pub fn with_rows(n: usize, voq_capacity: u64, mut rows: Vec<usize>) -> Self {
         assert!(n >= 2, "need at least 2 ports");
+        // Ports are 16-bit, so a key `src·n + dst` fits in 32 bits.
+        assert!(n < 1 << 16, "{n} ports: at most 65,535");
         assert!(voq_capacity > 0, "queue capacity must be positive");
-        rows.sort_unstable();
-        let mut row_of = vec![u32::MAX; n];
-        for (local, &global) in rows.iter().enumerate() {
-            assert!(global < n, "row {global} out of range for {n} ports");
-            assert!(row_of[global] == u32::MAX, "row {global} owned twice");
-            row_of[global] = local as u32;
-        }
-        let nlocal = rows.len();
         ProcessingLogic {
             n,
             voq_capacity,
             pool: Pool::new(),
-            pairs: (0..nlocal * n).map(|_| PairState::default()).collect(),
+            pairs: Vec::new(),
+            slots: FastHashMap::default(),
+            cache: Box::new([(NO_KEY, 0); CACHE_LEN]),
             dirty_list: Vec::new(),
             total_queued: 0,
-            // Owning every row (a single-shard core), the bank is the
-            // full layout and indexes without the row lookup.
-            rows: (nlocal < n).then(|| (rows.iter().map(|&r| r as u32).collect(), row_of)),
         }
     }
 
@@ -112,53 +129,74 @@ impl ProcessingLogic {
         self.n
     }
 
-    fn idx(&self, src: usize, dst: usize) -> usize {
+    /// Number of pairs the bank holds a record for: the distinct
+    /// `(src, dst)` pairs that have had a packet admitted.
+    pub fn pair_count(&self) -> usize {
+        self.pairs.len()
+    }
+
+    fn key(&self, src: usize, dst: usize) -> u32 {
         debug_assert!(src < self.n && dst < self.n);
-        let row = match &self.rows {
-            None => src,
-            Some((_, row_of)) => {
-                let local = row_of[src];
-                // A foreign row maps to u32::MAX and lands far outside
-                // `pairs`, so the slice bounds check still catches it.
-                debug_assert!(local != u32::MAX, "source row {src} not owned by this bank");
-                local as usize
-            }
-        };
-        row * self.n + dst
+        (src * self.n + dst) as u32
     }
 
-    /// Maps a local pair index back to its global `(src, dst)`.
+    /// The record of pair `key` from source `src`, if the bank holds one:
+    /// the source's cache line first, then the map.
     #[inline]
-    fn pair_of(&self, idx: usize) -> (usize, usize) {
-        let (row, dst) = (idx / self.n, idx % self.n);
-        let src = match &self.rows {
-            None => row,
-            Some((rows, _)) => rows[row] as usize,
-        };
-        (src, dst)
+    fn slot(&self, key: u32, src: usize) -> Option<usize> {
+        let (cached, slot) = self.cache[src % CACHE_LEN];
+        if cached == key {
+            return Some(slot as usize);
+        }
+        self.slots.get(&key).map(|&s| s as usize)
+    }
+
+    /// Makes the record of pair `key`.
+    fn insert(&mut self, key: u32, src: usize, dst: usize) -> usize {
+        let slot = self.pairs.len() as u32;
+        self.pairs.push(PairState {
+            arrived_total: 0,
+            queued: 0,
+            fifo: Fifo::new(),
+            src: src as u32,
+            dst: dst as u32,
+            dirty: false,
+        });
+        self.slots.insert(key, slot);
+        slot as usize
     }
 
     #[inline]
-    fn mark_dirty(&mut self, idx: usize) {
-        if !self.pairs[idx].dirty {
-            self.pairs[idx].dirty = true;
-            self.dirty_list.push(idx as u32);
+    fn mark_dirty(&mut self, key: u32, slot: usize) {
+        let pair = &mut self.pairs[slot];
+        if !pair.dirty {
+            pair.dirty = true;
+            self.dirty_list.push((key as u64) << 32 | slot as u64);
         }
     }
 
     /// Enqueues a packet into VOQ `(packet.src, packet.dst)`, appending
-    /// it to the VOQ's tail run when it continues that run.
+    /// it to the VOQ's tail run when it continues that run. The pair's
+    /// first admitted packet makes its record.
     ///
     /// On overflow the packet is returned — it is rejected *before*
-    /// admission, so it never owns a pool chunk and the caller has
-    /// nothing to release (the caller counts the drop).
+    /// admission, so it never owns a pool chunk or makes a record, and
+    /// the caller has nothing to release (the caller counts the drop).
     pub fn enqueue(&mut self, p: Packet) -> Result<(), Packet> {
-        let idx = self.idx(p.src.index(), p.dst.index());
+        let (src, dst) = (p.src.index(), p.dst.index());
+        let key = self.key(src, dst);
         let bytes = p.bytes as u64;
-        if self.pairs[idx].queued + bytes > self.voq_capacity {
+        let found = self.slot(key, src);
+        let queued = found.map_or(0, |s| self.pairs[s].queued);
+        if queued + bytes > self.voq_capacity {
             return Err(p);
         }
-        let pair = &mut self.pairs[idx];
+        let slot = match found {
+            Some(slot) => slot,
+            None => self.insert(key, src, dst),
+        };
+        self.cache[src % CACHE_LEN] = (key, slot as u32);
+        let pair = &mut self.pairs[slot];
         let appended = self
             .pool
             .back_mut(&pair.fifo)
@@ -169,13 +207,14 @@ impl ProcessingLogic {
         pair.arrived_total += bytes;
         pair.queued += bytes;
         self.total_queued += bytes;
-        self.mark_dirty(idx);
+        self.mark_dirty(key, slot);
         Ok(())
     }
 
     /// Bytes queued for `(src, dst)`.
     pub fn queued_bytes(&self, src: usize, dst: usize) -> u64 {
-        self.pairs[self.idx(src, dst)].queued
+        self.slot(self.key(src, dst), src)
+            .map_or(0, |s| self.pairs[s].queued)
     }
 
     /// Total bytes across all VOQs (O(1): maintained incrementally).
@@ -187,55 +226,36 @@ impl ProcessingLogic {
         self.total_queued
     }
 
-    /// Writes the true occupancy (ground truth for E6) into a caller-owned
-    /// matrix, overwriting every cell. The occupancy is maintained
-    /// incrementally, so this is a flat copy.
-    ///
-    /// # Panics
-    /// Panics on a row-windowed bank (it cannot overwrite rows it does
-    /// not own) — use [`occupancy_rows_into`](Self::occupancy_rows_into).
+    /// Writes the true occupancy (ground truth for E6) of every pair the
+    /// bank holds into `out`, leaving every other cell alone. A pair
+    /// without a record has queued nothing, and records are never
+    /// removed, so a matrix that starts at zero and is handed to the same
+    /// banks epoch after epoch always holds the whole occupancy: banks
+    /// whose records partition the fabric's pairs fill it exactly once.
     pub fn occupancy_into(&self, out: &mut DemandMatrix) {
-        assert!(
-            self.rows.is_none(),
-            "row-windowed bank: use occupancy_rows_into"
-        );
-        out.fill_from(self.pairs.iter().map(|p| p.queued));
-    }
-
-    /// Writes the occupancy of the rows this bank owns into `out`,
-    /// overwriting every cell of those rows and leaving the rest alone.
-    /// A set of shards whose row windows partition the fabric covers the
-    /// whole matrix exactly once, reproducing
-    /// [`occupancy_into`](Self::occupancy_into).
-    pub fn occupancy_rows_into(&self, out: &mut DemandMatrix) {
-        if self.rows.is_none() {
-            return self.occupancy_into(out);
-        }
-        for (idx, p) in self.pairs.iter().enumerate() {
-            let (src, dst) = self.pair_of(idx);
-            out.set(src, dst, p.queued);
+        for p in &self.pairs {
+            out.set(p.src as usize, p.dst as usize, p.queued);
         }
     }
 
     /// Drains the dirty set into scheduling requests — what the paper's
     /// "subsystem generates scheduling requests" step produces — appended
-    /// to a reused buffer in `(src, dst)` scan order. Only the dirty list
-    /// is visited (sorted so the order matches a full row-major scan),
-    /// not the whole `n²` matrix. Runs once per epoch, so it doubles as
-    /// the pool's conservation checkpoint.
+    /// to a reused buffer in ascending `(src, dst)` order. Only the dirty
+    /// list is visited (sorted by pair key, so the order matches a full
+    /// row-major scan). Runs once per epoch, so it doubles as the pool's
+    /// conservation checkpoint.
     pub fn take_requests_into(&mut self, now: SimTime, out: &mut Vec<SchedRequest>) {
         self.pool.debug_assert_conserved();
         self.dirty_list.sort_unstable();
-        for k in 0..self.dirty_list.len() {
-            let idx = self.dirty_list[k] as usize;
-            debug_assert!(self.pairs[idx].dirty);
-            self.pairs[idx].dirty = false;
-            let (src, dst) = self.pair_of(idx);
+        for &entry in &self.dirty_list {
+            let pair = &mut self.pairs[entry as u32 as usize];
+            debug_assert!(pair.dirty);
+            pair.dirty = false;
             out.push(SchedRequest {
-                src,
-                dst,
-                queued_bytes: self.pairs[idx].queued,
-                arrived_bytes_total: self.pairs[idx].arrived_total,
+                src: pair.src as usize,
+                dst: pair.dst as usize,
+                queued_bytes: pair.queued,
+                arrived_bytes_total: pair.arrived_total,
                 at: now,
             });
         }
@@ -247,7 +267,7 @@ impl ProcessingLogic {
     /// (a slot's capacity), appending them to a reused buffer (the
     /// grant-execution hot path runs once per matched pair per slot). The
     /// VOQ is marked dirty so the occupancy drop is reported in the next
-    /// request wave.
+    /// request wave. A grant on a pair without a record does nothing.
     pub fn dequeue_upto_into(
         &mut self,
         src: usize,
@@ -255,14 +275,16 @@ impl ProcessingLogic {
         budget_bytes: u64,
         out: &mut Vec<Packet>,
     ) {
-        let idx = self.idx(src, dst);
-        let used = self
-            .pool
-            .cut_upto_into(&mut self.pairs[idx].fifo, budget_bytes, out);
+        let key = self.key(src, dst);
+        let Some(slot) = self.slot(key, src) else {
+            return;
+        };
+        let pair = &mut self.pairs[slot];
+        let used = self.pool.cut_upto_into(&mut pair.fifo, budget_bytes, out);
         if used > 0 {
-            self.pairs[idx].queued -= used;
+            pair.queued -= used;
             self.total_queued -= used;
-            self.mark_dirty(idx);
+            self.mark_dirty(key, slot);
         }
     }
 
@@ -295,7 +317,7 @@ impl ProcessingLogic {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
     use xds_net::{PortNo, TrafficClass};
     use xds_sim::SimRng;
 
@@ -339,6 +361,7 @@ mod tests {
         assert_eq!(p.queued_bytes(3, 1), 500);
         assert_eq!(p.queued_bytes(0, 1), 0);
         assert_eq!(p.total_bytes(), 2000);
+        assert_eq!(p.pair_count(), 2, "one record per pair reached");
     }
 
     #[test]
@@ -411,6 +434,10 @@ mod tests {
             occupancy,
             "a pre-admission drop must not allocate or free chunks"
         );
+        // A first packet too big for an empty queue makes no record.
+        assert!(p.enqueue(pkt(20, 1, 0, 2001)).is_err());
+        assert_eq!(p.pair_count(), 1);
+        assert!(requests(&mut p, 0).iter().all(|r| (r.src, r.dst) == (0, 1)));
         // Drain and verify every chunk is released exactly once.
         let got = grant(&mut p, 0, 1, u64::MAX);
         assert_eq!(got.len(), 1);
@@ -418,13 +445,45 @@ mod tests {
     }
 
     #[test]
-    fn row_windowed_bank_matches_the_dense_bank_on_its_rows() {
-        // One dense 4-port bank vs two row-windowed shards covering
-        // {0, 3} and {1, 2}: identical requests after a (src, dst) merge,
-        // identical totals, identical occupancy when unioned.
-        let mut dense = ProcessingLogic::new(4, 10_000);
-        let mut a = ProcessingLogic::with_rows(4, 10_000, vec![3, 0]); // sorted internally
-        let mut b = ProcessingLogic::with_rows(4, 10_000, vec![1, 2]);
+    fn a_grant_on_a_pair_without_a_record_does_nothing() {
+        let mut p = ProcessingLogic::new(4, 10_000);
+        p.enqueue(pkt(1, 0, 2, 700)).unwrap();
+        requests(&mut p, 0);
+        assert!(grant(&mut p, 1, 3, u64::MAX).is_empty());
+        assert!(grant(&mut p, 0, 3, u64::MAX).is_empty());
+        assert_eq!(p.pair_count(), 1, "a grant makes no record");
+        assert!(requests(&mut p, 1).is_empty(), "and dirties nothing");
+        assert_eq!(p.pool_ledger(), (1, 0, 1, 1));
+        p.check_pool_conserved().unwrap();
+    }
+
+    #[test]
+    fn a_drained_pair_keeps_its_record_and_cumulative_bytes() {
+        let mut p = ProcessingLogic::new(4, 10_000);
+        p.enqueue(pkt(1, 3, 1, 600)).unwrap();
+        assert_eq!(grant(&mut p, 3, 1, u64::MAX).len(), 1);
+        assert_eq!(p.queued_bytes(3, 1), 0);
+        let mut m = DemandMatrix::zero(4);
+        m.set(3, 1, 99);
+        p.occupancy_into(&mut m);
+        assert_eq!(m.get(3, 1), 0, "a drained record still writes its cell");
+        p.enqueue(pkt(2, 3, 1, 400)).unwrap();
+        assert_eq!(p.pair_count(), 1, "the refill reuses the record");
+        let reqs = requests(&mut p, 0);
+        assert_eq!(reqs.len(), 1);
+        assert_eq!(reqs[0].queued_bytes, 400);
+        assert_eq!(reqs[0].arrived_bytes_total, 1000, "arrivals continue");
+    }
+
+    #[test]
+    fn banks_fed_disjoint_rows_match_one_bank_fed_all() {
+        // One 4-port bank fed every packet vs two banks fed the disjoint
+        // source rows {0, 3} and {1, 2}: identical requests after a
+        // (src, dst) merge, identical totals, identical occupancy when
+        // unioned.
+        let mut whole = ProcessingLogic::new(4, 10_000);
+        let mut a = ProcessingLogic::new(4, 10_000);
+        let mut b = ProcessingLogic::new(4, 10_000);
         let feed = [
             (1u32, 0usize, 2usize, 700u32),
             (2, 3, 1, 500),
@@ -432,12 +491,13 @@ mod tests {
             (4, 0, 1, 200),
         ];
         for &(id, s, d, bytes) in &feed {
-            dense.enqueue(pkt(id, s, d, bytes)).unwrap();
+            whole.enqueue(pkt(id, s, d, bytes)).unwrap();
             let shard = if s == 0 || s == 3 { &mut a } else { &mut b };
             shard.enqueue(pkt(id, s, d, bytes)).unwrap();
         }
-        assert_eq!(a.total_bytes() + b.total_bytes(), dense.total_bytes());
-        let want = requests(&mut dense, 0);
+        assert_eq!(a.total_bytes() + b.total_bytes(), whole.total_bytes());
+        assert_eq!(a.pair_count() + b.pair_count(), whole.pair_count());
+        let want = requests(&mut whole, 0);
         let mut got = requests(&mut a, 0);
         got.extend(requests(&mut b, 0));
         got.sort_unstable_by_key(|r| (r.src, r.dst));
@@ -449,9 +509,9 @@ mod tests {
             );
         }
         let mut union = DemandMatrix::zero(4);
-        a.occupancy_rows_into(&mut union);
-        b.occupancy_rows_into(&mut union);
-        let full = occupancy(&dense);
+        a.occupancy_into(&mut union);
+        b.occupancy_into(&mut union);
+        let full = occupancy(&whole);
         for s in 0..4 {
             for d in 0..4 {
                 assert_eq!(union.get(s, d), full.get(s, d), "cell ({s},{d})");
@@ -463,13 +523,16 @@ mod tests {
     }
 
     #[test]
-    fn empty_row_window_is_inert() {
-        let p = ProcessingLogic::with_rows(4, 10_000, Vec::new());
+    fn untouched_bank_is_inert() {
+        let mut p = ProcessingLogic::new(4, 10_000);
         assert_eq!(p.total_bytes(), 0);
+        assert_eq!(p.pair_count(), 0);
+        assert_eq!(p.queued_bytes(2, 3), 0);
         assert_eq!(p.pool_ledger(), (0, 0, 0, 0));
         let mut m = DemandMatrix::zero(4);
-        p.occupancy_rows_into(&mut m);
+        p.occupancy_into(&mut m);
         assert_eq!(m.total(), 0);
+        assert!(requests(&mut p, 0).is_empty());
     }
 
     #[test]
@@ -485,75 +548,81 @@ mod tests {
     }
 
     const MTU: u32 = 1500;
-    const PORTS: usize = 4;
+    /// The differential's fabric, and the ports it drives: scattered
+    /// across it, so sources 0, 64 and 128 share a line of the bank's
+    /// source-indexed cache and most pairs stay without a record for a
+    /// while.
+    const FABRIC: usize = 136;
+    const PORTS: [usize; 6] = [0, 5, 64, 69, 128, 133];
 
-    /// The reference the run bank must reproduce: one plain packet FIFO
-    /// per pair, with the bank's admission, request and grant rules.
+    /// One pair of the reference: a plain packet FIFO.
+    #[derive(Default)]
+    struct RefPair {
+        fifo: VecDeque<Packet>,
+        queued: u64,
+        arrived: u64,
+        dirty: bool,
+    }
+
+    /// The reference the banks must reproduce: one plain packet FIFO per
+    /// pair that has admitted a packet, with the bank's admission,
+    /// request and grant rules.
     struct Reference {
         capacity: u64,
-        fifos: Vec<VecDeque<Packet>>,
-        queued: Vec<u64>,
-        arrived: Vec<u64>,
-        dirty: Vec<bool>,
+        pairs: BTreeMap<(usize, usize), RefPair>,
     }
 
     impl Reference {
-        fn new(capacity: u64) -> Self {
-            let pairs = PORTS * PORTS;
-            Reference {
-                capacity,
-                fifos: vec![VecDeque::new(); pairs],
-                queued: vec![0; pairs],
-                arrived: vec![0; pairs],
-                dirty: vec![false; pairs],
-            }
+        fn queued(&self, src: usize, dst: usize) -> u64 {
+            self.pairs.get(&(src, dst)).map_or(0, |q| q.queued)
         }
 
         fn enqueue(&mut self, p: Packet) -> Result<(), Packet> {
-            let i = p.src.index() * PORTS + p.dst.index();
+            let key = (p.src.index(), p.dst.index());
             let bytes = p.bytes as u64;
-            if self.queued[i] + bytes > self.capacity {
+            if self.queued(key.0, key.1) + bytes > self.capacity {
                 return Err(p);
             }
-            self.fifos[i].push_back(p);
-            self.queued[i] += bytes;
-            self.arrived[i] += bytes;
-            self.dirty[i] = true;
+            let q = self.pairs.entry(key).or_default();
+            q.fifo.push_back(p);
+            q.queued += bytes;
+            q.arrived += bytes;
+            q.dirty = true;
             Ok(())
         }
 
         fn grant(&mut self, src: usize, dst: usize, budget: u64) -> Vec<Packet> {
-            let i = src * PORTS + dst;
-            let mut used = 0;
             let mut out = Vec::new();
-            while let Some(p) = self.fifos[i].front() {
+            let Some(q) = self.pairs.get_mut(&(src, dst)) else {
+                return out;
+            };
+            let mut used = 0;
+            while let Some(p) = q.fifo.front() {
                 if used + p.bytes as u64 > budget {
                     break;
                 }
                 used += p.bytes as u64;
-                out.extend(self.fifos[i].pop_front());
+                out.extend(q.fifo.pop_front());
             }
             if used > 0 {
-                self.queued[i] -= used;
-                self.dirty[i] = true;
+                q.queued -= used;
+                q.dirty = true;
             }
             out
         }
 
+        /// The dirty pairs of source rows `rows`, in `(src, dst)` order.
         fn requests(&mut self, rows: &[usize], at: SimTime) -> Vec<SchedRequest> {
             let mut out = Vec::new();
-            for &src in rows {
-                for dst in 0..PORTS {
-                    let i = src * PORTS + dst;
-                    if std::mem::take(&mut self.dirty[i]) {
-                        out.push(SchedRequest {
-                            src,
-                            dst,
-                            queued_bytes: self.queued[i],
-                            arrived_bytes_total: self.arrived[i],
-                            at,
-                        });
-                    }
+            for (&(src, dst), q) in &mut self.pairs {
+                if rows.contains(&src) && std::mem::take(&mut q.dirty) {
+                    out.push(SchedRequest {
+                        src,
+                        dst,
+                        queued_bytes: q.queued,
+                        arrived_bytes_total: q.arrived,
+                        at,
+                    });
                 }
             }
             out
@@ -597,31 +666,31 @@ mod tests {
         ][rng.below_usize(3)]
     }
 
-    /// Drives the bank and the reference with one random stream of
-    /// `steps` batches and fails on the first disagreement.
+    /// Drives `banks` banks, each fed the packets and grants of the
+    /// scattered source rows a random assignment gives it, and one
+    /// reference with one random stream of `steps` batches, and fails on
+    /// the first disagreement.
     fn run_differential(
         seed: u64,
-        windowed: bool,
+        banks: usize,
         capacity: u64,
         steps: usize,
     ) -> Result<(), String> {
         let mut rng = SimRng::new(seed);
-        let rows: Vec<usize> = if windowed {
-            let rows: Vec<usize> = (0..PORTS).filter(|_| rng.bool(0.5)).collect();
-            if rows.is_empty() || rows.len() == PORTS {
-                vec![1, 3]
-            } else {
-                rows
-            }
-        } else {
-            (0..PORTS).collect()
+        let owner: Vec<usize> = PORTS.iter().map(|_| rng.below_usize(banks)).collect();
+        let bank_of = |src: usize| owner[PORTS.iter().position(|&p| p == src).expect("driven")];
+        let rows: Vec<Vec<usize>> = (0..banks)
+            .map(|b| PORTS.into_iter().filter(|&p| bank_of(p) == b).collect())
+            .collect();
+        let mut bank: Vec<ProcessingLogic> = (0..banks)
+            .map(|_| ProcessingLogic::new(FABRIC, capacity))
+            .collect();
+        let mut reference = Reference {
+            capacity,
+            pairs: BTreeMap::new(),
         };
-        let mut bank = if windowed {
-            ProcessingLogic::with_rows(PORTS, capacity, rows.clone())
-        } else {
-            ProcessingLogic::new(PORTS, capacity)
-        };
-        let mut reference = Reference::new(capacity);
+        // Reused across batches, as the runtime reuses its ground truth.
+        let mut occ = DemandMatrix::zero(FABRIC);
         let mut pool = Pool::new();
         // Flows being cut, each its own one-entry queue.
         let mut flows: Vec<Fifo> = Vec::new();
@@ -631,8 +700,12 @@ mod tests {
         for step in 0..steps {
             now += rng.below(100);
             let at = SimTime::from_nanos(now);
-            let pair =
-                |rng: &mut SimRng| (rows[rng.below_usize(rows.len())], rng.below_usize(PORTS));
+            let pair = |rng: &mut SimRng| {
+                (
+                    PORTS[rng.below_usize(PORTS.len())],
+                    PORTS[rng.below_usize(PORTS.len())],
+                )
+            };
             for _ in 0..rng.range_u64(1, 9) {
                 let mut offered = None;
                 match rng.below(10) {
@@ -681,12 +754,14 @@ mod tests {
                             }
                         }
                     }
-                    // A grant with a budget that may split a run.
+                    // A grant with a budget that may split a run, drain a
+                    // pair (which later flows refill) or hit a pair that
+                    // has no record yet.
                     _ => {
                         let (s, d) = pair(&mut rng);
                         let b = budget(&mut rng);
                         granted.clear();
-                        bank.dequeue_upto_into(s, d, b, &mut granted);
+                        bank[bank_of(s)].dequeue_upto_into(s, d, b, &mut granted);
                         let want = reference.grant(s, d, b);
                         prop_assert_eq!(
                             &granted,
@@ -701,25 +776,49 @@ mod tests {
                 }
                 if let Some(p) = offered {
                     // A VOQ-full drop leaves a seq gap in its flow.
-                    let got = bank.enqueue(p);
+                    let got = bank[bank_of(p.src.index())].enqueue(p);
                     prop_assert_eq!(got, reference.enqueue(p), "step {}: enqueue {:?}", step, p);
                 }
             }
-            for &s in &rows {
-                for d in 0..PORTS {
-                    prop_assert_eq!(bank.queued_bytes(s, d), reference.queued[s * PORTS + d]);
+            for (b, bk) in bank.iter().enumerate() {
+                for s in PORTS {
+                    for d in PORTS {
+                        let want = if bank_of(s) == b {
+                            reference.queued(s, d)
+                        } else {
+                            0
+                        };
+                        prop_assert_eq!(bk.queued_bytes(s, d), want, "bank {} ({}, {})", b, s, d);
+                    }
                 }
             }
-            prop_assert_eq!(bank.total_bytes(), reference.queued.iter().sum::<u64>());
-            reqs.clear();
-            bank.take_requests_into(at, &mut reqs);
+            let total: u64 = reference.pairs.values().map(|q| q.queued).sum();
+            prop_assert_eq!(bank.iter().map(|b| b.total_bytes()).sum::<u64>(), total);
             prop_assert_eq!(
-                &reqs,
-                &reference.requests(&rows, at),
-                "step {}: requests",
+                bank.iter().map(|b| b.pair_count()).sum::<usize>(),
+                reference.pairs.len(),
+                "step {}: records",
                 step
             );
-            bank.check_pool_conserved()?;
+            for (b, bk) in bank.iter_mut().enumerate() {
+                reqs.clear();
+                bk.take_requests_into(at, &mut reqs);
+                prop_assert_eq!(
+                    &reqs,
+                    &reference.requests(&rows[b], at),
+                    "step {}: bank {} requests",
+                    step,
+                    b
+                );
+                bk.occupancy_into(&mut occ);
+                bk.check_pool_conserved()?;
+            }
+            for s in PORTS {
+                for d in PORTS {
+                    prop_assert_eq!(occ.get(s, d), reference.queued(s, d), "cell ({}, {})", s, d);
+                }
+            }
+            prop_assert_eq!(occ.total(), total, "step {}: stray occupancy", step);
         }
         Ok(())
     }
@@ -727,17 +826,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The run bank hands out exactly the packets a per-pair packet
+        /// The run banks hand out exactly the packets a per-pair packet
         /// FIFO would: same packets, all fields, same order, same
-        /// admission, requests and byte counts.
+        /// admission, requests, byte counts, records and occupancy, with
+        /// the fabric's source rows split over one to three banks.
         #[test]
         fn run_bank_matches_a_packet_fifo_per_pair(
             seed in any::<u64>(),
-            windowed in any::<bool>(),
+            banks in 1usize..4,
             cap in 0usize..3,
         ) {
             let capacity = [3 * MTU as u64 + 100, 12 * MTU as u64, 1 << 40][cap];
-            run_differential(seed, windowed, capacity, 200)?;
+            run_differential(seed, banks, capacity, 200)?;
         }
     }
 }

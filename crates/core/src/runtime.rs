@@ -13,7 +13,7 @@
 //! There is one event loop, shaped like the paper's switch: a
 //! **coordinator** owns the central scheduler, the estimator, the OCS/EPS,
 //! the run's recorder and the buffer tracker, and **K port-group
-//! shards** own the hosts and the switch's VOQ rows (the `shard` child
+//! shards** own the hosts and the switch's VOQ banks (the `shard` child
 //! module runs it). A build without [`SimBuilder::shards`] is K = 1: one
 //! shard owning every port. This module holds the coordinator's state,
 //! its events and the end-of-run report, plus the builder. Every handler
@@ -1656,6 +1656,7 @@ mod tests {
             "sched_probes",
             "sched_worklist_peak",
             "sched_bucket_peak",
+            "voq_pairs",
             "grant_bursts",
             "grant_pkts_max",
             "delivery_batches",
@@ -1683,6 +1684,48 @@ mod tests {
             let sharded = mk().shards(k).build().unwrap().run(SimTime::from_millis(3));
             assert_shard_equiv(&k1, &sharded, &format!("k={k}"));
         }
+    }
+
+    /// The VOQ banks hold a record per pair the traffic reached, not per
+    /// pair of the fabric: a 64-port multi-ring run (4 destinations per
+    /// source) holds at most the matrix's 256 non-zero cells, and the
+    /// same number in one bank as in one bank per port.
+    #[test]
+    fn voq_pairs_follow_the_traffic_at_any_shard_count() {
+        let n = 64;
+        let mut w = vec![0.0; n * n];
+        for k in [1, 9, 33, 57] {
+            for s in 0..n {
+                w[s * n + (s + k) % n] = 1.0;
+            }
+        }
+        let matrix = TrafficMatrix::from_weights(n, w).unwrap();
+        let cells = matrix.rows().flatten().filter(|&&f| f > 0.0).count() as u64;
+        assert_eq!(cells, 4 * n as u64);
+        let mk = |k| {
+            SimBuilder::new(hw_cfg(n))
+                .workload(Workload::flows(FlowGenerator::with_load(
+                    matrix.clone(),
+                    FlowSizeDist::Fixed(150_000),
+                    0.6,
+                    BitRate::GBPS_10,
+                    SimRng::new(3),
+                )))
+                .scheduler(Box::new(IslipScheduler::new(n, 3)))
+                .shards(k)
+                .build()
+                .unwrap()
+                .run(SimTime::from_millis(1))
+        };
+        let k1 = mk(1);
+        let pairs = k1.counters.voq_pairs;
+        assert!(
+            pairs > 0 && pairs <= cells,
+            "{pairs} records for {cells} cells"
+        );
+        let kn = mk(n);
+        assert_eq!(kn.counters.voq_pairs, pairs, "K = {n}");
+        assert_shard_equiv(&k1, &kn, "multi-ring k=64");
     }
 
     /// Slow mode with clock skew comparable to the dark window: slot
@@ -1815,6 +1858,17 @@ mod tests {
         assert!(
             counts.iter().all(|&c| c >= 2),
             "near-equal split: {counts:?}"
+        );
+        // A scattered map's port index: each shard's ports ascending, and
+        // each port's position among them.
+        let m = ShardMap::from_assignment(vec![1, 0, 1, 2, 0]).unwrap();
+        assert_eq!(
+            (m.ports_of(0), m.ports_of(1), m.ports_of(2)),
+            (&[1, 4][..], &[0, 2][..], &[3][..])
+        );
+        assert_eq!(
+            (0..5).map(|p| m.local_of(p)).collect::<Vec<_>>(),
+            [0, 0, 1, 0, 1]
         );
         // A map sized for the wrong fabric is a typed build error.
         let built = SimBuilder::new(hw_cfg(4))

@@ -1,5 +1,5 @@
 //! The event loop: the fabric splits into K port groups ("shards"),
-//! each owning its hosts, VOQ bank rows, pools and event queue.
+//! each owning its hosts, VOQ bank, pools and event queue.
 //! Intra-shard work (flow injection, NIC pumps, switch-ingress
 //! classification, slow-mode grant transmission) runs independently per
 //! shard between *barriers* — the coordinator's own events (epochs, slot
@@ -56,7 +56,7 @@
 //! inline, sequentially — same results either way, because shards share
 //! nothing within a window. Even inline, sharding pays on big fabrics:
 //! each shard's window drains its events back-to-back against a private
-//! pool and VOQ slice, instead of interleaving every port's state through
+//! pool and VOQ bank, instead of interleaving every port's state through
 //! one global time order. K = 1 always runs inline and replays its ship
 //! log in place: one shard's log is already in canonical order.
 
@@ -66,11 +66,20 @@ use super::*;
 /// [`contiguous`](ShardMap::contiguous) for the standard equal split, or
 /// [`from_assignment`](ShardMap::from_assignment) for arbitrary
 /// (test/proptest) layouts. The determinism contract holds for any map.
+///
+/// The map is the run's one port index: built once, in one pass, it
+/// gives every port's shard and its index among that shard's ports, and
+/// every shard's sorted port list. All shards read this one copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     /// `assign[port] = shard`.
     assign: Vec<u32>,
-    k: usize,
+    /// `local[port]` = the port's index among its shard's ports.
+    local: Vec<u32>,
+    /// Every shard's ports, ascending, shard after shard: shard `s` owns
+    /// `ports[starts[s]..starts[s + 1]]` (`starts` has `k + 1` entries).
+    ports: Vec<u32>,
+    starts: Vec<u32>,
 }
 
 impl ShardMap {
@@ -79,8 +88,7 @@ impl ShardMap {
     pub fn contiguous(n: usize, k: usize) -> Self {
         assert!(n > 0, "need at least one port");
         let k = k.clamp(1, n);
-        let assign = (0..n).map(|p| (p * k / n) as u32).collect();
-        ShardMap { assign, k }
+        Self::index((0..n).map(|p| (p * k / n) as u32).collect(), k)
     }
 
     /// Builds a map from an explicit `port → shard` table. Shard ids
@@ -104,15 +112,41 @@ impl ShardMap {
         if let Some(hole) = used.iter().position(|u| !u) {
             return Err(format!("shard ids not dense: {hole} unused below {k}"));
         }
-        Ok(ShardMap {
-            assign: assign.into_iter().map(|s| s as u32).collect(),
+        Ok(Self::index(
+            assign.into_iter().map(|s| s as u32).collect(),
             k,
-        })
+        ))
+    }
+
+    /// Indexes a validated assignment with a counting sort by shard.
+    /// Ports are visited in ascending order, so a port's local index is
+    /// the count of its shard's ports before it, and each shard's list
+    /// comes out sorted.
+    fn index(assign: Vec<u32>, k: usize) -> Self {
+        let mut local = vec![0u32; assign.len()];
+        let mut starts = vec![0u32; k + 1];
+        for (p, &s) in assign.iter().enumerate() {
+            local[p] = starts[s as usize + 1];
+            starts[s as usize + 1] += 1;
+        }
+        for s in 0..k {
+            starts[s + 1] += starts[s];
+        }
+        let mut ports = vec![0u32; assign.len()];
+        for (p, &s) in assign.iter().enumerate() {
+            ports[(starts[s as usize] + local[p]) as usize] = p as u32;
+        }
+        ShardMap {
+            assign,
+            local,
+            ports,
+            starts,
+        }
     }
 
     /// Number of shards.
     pub fn k(&self) -> usize {
-        self.k
+        self.starts.len() - 1
     }
 
     /// Number of ports the map covers.
@@ -125,11 +159,14 @@ impl ShardMap {
         self.assign[port] as usize
     }
 
+    /// `port`'s index among its shard's ports.
+    pub fn local_of(&self, port: usize) -> usize {
+        self.local[port] as usize
+    }
+
     /// The (sorted, ascending) global ports shard `s` owns.
-    pub fn rows_of(&self, s: usize) -> Vec<usize> {
-        (0..self.assign.len())
-            .filter(|&p| self.assign[p] as usize == s)
-            .collect()
+    pub fn ports_of(&self, s: usize) -> &[u32] {
+        &self.ports[self.starts[s] as usize..self.starts[s + 1] as usize]
     }
 }
 
@@ -202,18 +239,18 @@ struct Ship {
     kind: ShipKind,
 }
 
-/// One port group: its hosts, host pool, VOQ rows and event queue.
-struct Shard {
+/// One port group: its hosts, host pool, VOQ bank and event queue.
+struct Shard<'m> {
     id: usize,
-    /// Sorted global ports this shard owns.
-    ports: Vec<usize>,
-    /// `local[global] = index into hosts`, `u32::MAX` for foreign ports.
-    local: Vec<u32>,
+    /// The run's one port index, shared by every shard: a host's index
+    /// in `hosts` is its port's [`ShardMap::local_of`].
+    map: &'m ShardMap,
     hosts: Vec<Host>,
     /// Backs this shard's staging queues and host VOQs: one entry per
     /// staged flow or app send.
     pool: Pool<Staged>,
-    /// Row-windowed switch VOQ bank (this shard's source rows only).
+    /// The switch VOQ bank of this shard's source ports: records for the
+    /// pairs their packets reached.
     proc: ProcessingLogic,
     /// Every event is stamped with its *scheduling* time — the `now` of
     /// the handler (or coordinator) that scheduled it — and the queue
@@ -234,7 +271,7 @@ struct Shard {
     ship: Vec<Ship>,
 }
 
-impl Shard {
+impl Shard<'_> {
     fn gated(&self, class: TrafficClass) -> bool {
         class == TrafficClass::Bulk || (self.gate_interactive && class == TrafficClass::Interactive)
     }
@@ -245,9 +282,13 @@ impl Shard {
 
     /// The shard-local index of global port `port`.
     fn local_of(&self, port: usize) -> usize {
-        let li = self.local[port];
-        debug_assert!(li != u32::MAX, "port {port} not owned by shard {}", self.id);
-        li as usize
+        debug_assert_eq!(
+            self.map.shard_of(port),
+            self.id,
+            "port {port} not owned by shard {}",
+            self.id
+        );
+        self.map.local_of(port)
     }
 
     /// `at_least` is the caller's current time — it doubles as the new
@@ -445,24 +486,20 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
     // Partition the built hosts (clock offsets were drawn in global port
     // order at build) into shards.
     let mut host_slots: Vec<Option<Host>> = hosts.into_iter().map(Some).collect();
+    let map = &map;
     let mut shards: Vec<Shard> = (0..map.k())
         .map(|s| {
-            let ports = map.rows_of(s);
-            let mut local = vec![u32::MAX; n];
-            for (li, &p) in ports.iter().enumerate() {
-                local[p] = li as u32;
-            }
-            let hosts = ports
+            let hosts = map
+                .ports_of(s)
                 .iter()
-                .map(|&p| host_slots[p].take().expect("port owned once"))
+                .map(|&p| host_slots[p as usize].take().expect("port owned once"))
                 .collect();
             Shard {
                 id: s,
-                local,
+                map,
                 hosts,
                 pool: Pool::new(),
-                proc: ProcessingLogic::with_rows(n, state.cfg.voq_capacity, ports.clone()),
-                ports,
+                proc: ProcessingLogic::new(n, state.cfg.voq_capacity),
                 queue: EventQueue::new(),
                 host_tx: state.cfg.host_link.rate.tx_cache(),
                 is_hw: state.is_hw,
@@ -516,14 +553,14 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
         // schedule onto the coordinator queue, so it is still next after
         // them.
         let limit = cq.peek_key().filter(|&(t, _)| t <= horizon);
-        pregen_flows(&mut state, &mut shards, &map, limit, &mut pending_sched);
+        pregen_flows(&mut state, &mut shards, map, limit, &mut pending_sched);
         run_windows(&mut shards, limit, horizon, workers);
         replay_ships(&mut state, &mut shards, &mut replay_buf);
         let Some((now, _)) = limit else { break };
         let (_, ev) = cq.pop().expect("peeked coordinator event");
         coord_pops += 1;
         end_time = end_time.max(now);
-        handle_coord(&mut state, &mut shards, &map, &mut cq, now, ev);
+        handle_coord(&mut state, &mut shards, map, &mut cq, now, ev);
     }
     for s in &shards {
         end_time = end_time.max(s.queue.now());
@@ -553,6 +590,9 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
             // documented peak semantic.
             pool_live_peak: s.pool.live_peak() + pk,
             pool_chunk_growths: s.pool.chunk_growth_count() + g,
+            // A pair's record lives in its source's shard alone, so the
+            // sum over shards is the same for every map.
+            voq_pairs: s.proc.pair_count() as u64,
             ..Default::default()
         };
         st.counters.merge(&c);
@@ -578,7 +618,7 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
 /// event scheduled by a handler running then.
 fn pregen_flows(
     st: &mut SimState,
-    shards: &mut [Shard],
+    shards: &mut [Shard<'_>],
     map: &ShardMap,
     limit: Option<(SimTime, SimTime)>,
     pending_sched: &mut Option<SimTime>,
@@ -625,7 +665,7 @@ fn pregen_flows(
 /// itself in cache locality even inline — see the module docs) without
 /// spawning K threads per barrier.
 fn run_windows(
-    shards: &mut [Shard],
+    shards: &mut [Shard<'_>],
     limit: Option<(SimTime, SimTime)>,
     horizon: SimTime,
     workers: Option<usize>,
@@ -636,7 +676,7 @@ fn run_windows(
         }
         return;
     };
-    let mut busy: Vec<&mut Shard> = shards
+    let mut busy: Vec<&mut Shard<'_>> = shards
         .iter_mut()
         .filter(|s| s.has_work(limit, horizon))
         .collect();
@@ -665,7 +705,7 @@ fn run_windows(
 /// replays in place; otherwise the logs merge through `buf`.
 fn replay_ships(
     st: &mut SimState,
-    shards: &mut [Shard],
+    shards: &mut [Shard<'_>],
     buf: &mut Vec<(SimTime, u32, u64, ShipKind)>,
 ) {
     let mut shipping = shards.iter_mut().filter(|s| !s.ship.is_empty());
@@ -754,7 +794,7 @@ fn apply_ship(st: &mut SimState, t: SimTime, kind: ShipKind) {
 /// windows).
 fn handle_coord(
     st: &mut SimState,
-    shards: &mut [Shard],
+    shards: &mut [Shard<'_>],
     map: &ShardMap,
     q: &mut EventQueue<Ev>,
     now: SimTime,
@@ -818,12 +858,12 @@ fn handle_coord(
                 if st.is_hw {
                     s.proc.take_requests_into(now, &mut reqs);
                 } else {
-                    for (&hi, h) in s.ports.iter().zip(s.hosts.iter_mut()) {
+                    for (&hi, h) in map.ports_of(s.id).iter().zip(s.hosts.iter_mut()) {
                         for d in 0..h.voq_dirty.len() {
                             if h.voq_dirty[d] {
                                 h.voq_dirty[d] = false;
                                 reqs.push(SchedRequest {
-                                    src: hi,
+                                    src: hi as usize,
                                     dst: d,
                                     queued_bytes: h.voq_bytes[d],
                                     arrived_bytes_total: h.voq_arrived[d],
@@ -875,15 +915,17 @@ fn handle_coord(
                 }
             } else if st.observed {
                 if st.is_hw {
+                    // Records are never removed, so the cells the banks
+                    // write cover every pair that ever held bytes; the
+                    // rest of the scratch matrix is still zero.
                     for s in shards.iter() {
-                        s.proc.occupancy_rows_into(&mut st.truth_scratch);
+                        s.proc.occupancy_into(&mut st.truth_scratch);
                     }
                 } else {
                     for s in shards.iter() {
-                        for (li, &hi) in s.ports.iter().enumerate() {
-                            let h = &s.hosts[li];
+                        for (&hi, h) in map.ports_of(s.id).iter().zip(&s.hosts) {
                             for d in 0..st.cfg.n_ports {
-                                st.truth_scratch.set(hi, d, h.voq_bytes[d]);
+                                st.truth_scratch.set(hi as usize, d, h.voq_bytes[d]);
                             }
                         }
                     }

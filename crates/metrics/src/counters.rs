@@ -57,6 +57,11 @@ pub struct CounterSet {
     pub pool_live_peak: u64,
     /// Slab chunk allocations (pool capacity growth events).
     pub pool_chunk_growths: u64,
+    /// Pair records the VOQ banks hold at the end of the run: the
+    /// distinct `(src, dst)` pairs that had a packet admitted to the
+    /// switch's VOQ bank. A pair lives in the bank of the shard owning
+    /// its source, so the sum is the same for every shard map.
+    pub voq_pairs: u64,
     /// Grant bursts executed (one per served port pair per slot).
     pub grant_bursts: u64,
     /// Largest single grant burst, in packets.
@@ -87,7 +92,7 @@ pub struct CounterSet {
 
 impl CounterSet {
     /// Number of counters in the registry.
-    pub const LEN: usize = 22;
+    pub const LEN: usize = 23;
 
     /// The canonical `(name, value)` enumeration, in stable order. Column
     /// emitters and docs must derive from this list so names cannot
@@ -106,6 +111,7 @@ impl CounterSet {
             ("pool_frees", self.pool_frees),
             ("pool_live_peak", self.pool_live_peak),
             ("pool_chunk_growths", self.pool_chunk_growths),
+            ("voq_pairs", self.voq_pairs),
             ("grant_bursts", self.grant_bursts),
             ("grant_pkts_max", self.grant_pkts_max),
             ("delivery_batches", self.delivery_batches),
@@ -151,6 +157,7 @@ impl CounterSet {
             ("pool_frees", Sum),
             ("pool_live_peak", Max),
             ("pool_chunk_growths", Sum),
+            ("voq_pairs", Sum),
             ("grant_bursts", Sum),
             ("grant_pkts_max", Max),
             ("delivery_batches", Sum),
@@ -188,6 +195,7 @@ impl CounterSet {
         self.pool_frees += other.pool_frees;
         self.pool_live_peak = self.pool_live_peak.max(other.pool_live_peak);
         self.pool_chunk_growths += other.pool_chunk_growths;
+        self.voq_pairs += other.voq_pairs;
         self.grant_bursts += other.grant_bursts;
         self.grant_pkts_max = self.grant_pkts_max.max(other.grant_pkts_max);
         self.delivery_batches += other.delivery_batches;
@@ -322,16 +330,17 @@ mod tests {
             9 => c.pool_frees = v,
             10 => c.pool_live_peak = v,
             11 => c.pool_chunk_growths = v,
-            12 => c.grant_bursts = v,
-            13 => c.grant_pkts_max = v,
-            14 => c.delivery_batches = v,
-            15 => c.fault_events_injected = v,
-            16 => c.fault_degraded_ns_max = v,
-            17 => c.fault_failover_bytes = v,
-            18 => c.drop_voq_full = v,
-            19 => c.drop_eps_full = v,
-            20 => c.drop_sync_violation = v,
-            21 => c.drop_link_dark = v,
+            12 => c.voq_pairs = v,
+            13 => c.grant_bursts = v,
+            14 => c.grant_pkts_max = v,
+            15 => c.delivery_batches = v,
+            16 => c.fault_events_injected = v,
+            17 => c.fault_degraded_ns_max = v,
+            18 => c.fault_failover_bytes = v,
+            19 => c.drop_voq_full = v,
+            20 => c.drop_eps_full = v,
+            21 => c.drop_sync_violation = v,
+            22 => c.drop_link_dark = v,
             _ => unreachable!(),
         }
         c

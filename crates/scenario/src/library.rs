@@ -142,9 +142,9 @@ pub fn scenario(name: &str) -> Option<ScenarioSpec> {
                 .with_ports(512)
                 .with_duration(SimDuration::from_millis(1)),
 
-            // Kilofabric stress: 1024 ports — the largest configuration
-            // the pooled data structures are sized for (a million VOQ
-            // headers, slab schedules, no per-packet allocation). Like
+            // Kilofabric stress: 1024 ports of pooled data structures
+            // (VOQ records for the 4,096 pairs the rings reach, slab
+            // schedules, no per-packet allocation). Like
             // the 2048 rung it defaults to one shard per source port,
             // the fastest single-CPU layout measured (~1.5x one shard
             // for the whole fabric); `--shards 1` runs it as one shard,
@@ -156,13 +156,14 @@ pub fn scenario(name: &str) -> Option<ScenarioSpec> {
                 .with_shards(1024)
                 .with_duration(SimDuration::from_micros(500)),
 
-            // Two-kilofabric stress: 2048 ports, practical only on the
-            // sharded core — a dense per-fabric VOQ bank would be ~4M
-            // pairs (~200 MB), so the entry defaults to one shard per
-            // source port: each window drains one L2-resident VOQ row
-            // instead of streaming the whole bank, the fastest single-CPU
-            // configuration measured. Results are invariant in the shard
-            // count; the default only picks the execution layout.
+            // Two-kilofabric stress: 2048 ports. The VOQ banks hold
+            // records only for the pairs the rings reach (4 per source),
+            // so the shard count buys window locality, not footprint: the
+            // entry defaults to one shard per source port, each window
+            // draining one port's events against its own small bank, the
+            // fastest single-CPU configuration measured. Results are
+            // invariant in the shard count; the default only picks the
+            // execution layout.
             "scale-stress-2048" => scenario("scale-stress")
                 .expect("base entry exists")
                 .with_name("scale-stress-2048")

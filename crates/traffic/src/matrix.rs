@@ -23,17 +23,31 @@ use xds_sim::SimRng;
 pub struct TrafficMatrix {
     n: usize,
     frac: Vec<f64>,
-    /// Cumulative distribution for pair sampling, built lazily on first
-    /// use: it is an `n²` derivation of `frac` that only flow sampling
-    /// needs, and consumers that never sample (the estimate tier, matrix
-    /// analysis) would otherwise pay a full extra pass per matrix.
-    cdf: OnceLock<Vec<f64>>,
+    /// The pair sampler, built lazily on first use: only flow sampling
+    /// needs it, and consumers that never sample (the estimate tier,
+    /// matrix analysis) would otherwise pay a full extra pass per matrix.
+    sampler: OnceLock<Sampler>,
+}
+
+/// The cumulative distribution over the matrix's non-zero cells, in
+/// row-major order. Zero cells have zero width, so leaving them out
+/// moves only the draws a dense table resolved to a zero cell (a draw
+/// equal to a cumulative value, or past the float sum), and a sparse
+/// matrix samples from a table the size of its support rather than `n²`.
+#[derive(Debug, Clone)]
+struct Sampler {
+    /// Cumulative fraction up to and including each non-zero cell. Adding
+    /// a zero never changes a float sum, so each value is bitwise the
+    /// dense row-major running sum at that cell.
+    cum: Vec<f64>,
+    /// Each non-zero cell's row-major index `src·n + dst`.
+    cell: Vec<u32>,
 }
 
 impl PartialEq for TrafficMatrix {
     fn eq(&self, other: &Self) -> bool {
-        // The cdf is a pure derivation of `frac`; comparing it would only
-        // re-compare the same information.
+        // The sampler is a pure derivation of `frac`; comparing it would
+        // only re-compare the same information.
         self.n == other.n && self.frac == other.frac
     }
 }
@@ -72,7 +86,7 @@ impl TrafficMatrix {
         Ok(TrafficMatrix {
             n,
             frac,
-            cdf: OnceLock::new(),
+            sampler: OnceLock::new(),
         })
     }
 
@@ -193,21 +207,30 @@ impl TrafficMatrix {
 
     /// Samples a `(src, dst)` pair proportionally to the matrix.
     pub fn sample_pair(&self, rng: &mut SimRng) -> (usize, usize) {
-        let cdf = self.cdf.get_or_init(|| {
+        self.pick_pair(rng.f64())
+    }
+
+    /// The pair a uniform draw `u` in `[0, 1)` picks: the first non-zero
+    /// cell whose cumulative fraction exceeds `u` (each cell owns the
+    /// half-open interval up to its cumulative value). The fractions'
+    /// float sum can end just below 1.0, so a draw beyond it clamps to
+    /// the last non-zero cell: a zero-weight cell is never picked.
+    pub(crate) fn pick_pair(&self, u: f64) -> (usize, usize) {
+        let s = self.sampler.get_or_init(|| {
+            let cells = self.frac.iter().filter(|&&w| w > 0.0).count();
+            let (mut cum, mut cell) = (Vec::with_capacity(cells), Vec::with_capacity(cells));
             let mut acc = 0.0;
-            self.frac
-                .iter()
-                .map(|&w| {
+            for (i, &w) in self.frac.iter().enumerate() {
+                if w > 0.0 {
                     acc += w;
-                    acc
-                })
-                .collect()
+                    cum.push(acc);
+                    cell.push(u32::try_from(i).expect("cell index fits in u32"));
+                }
+            }
+            Sampler { cum, cell }
         });
-        let u = rng.f64();
-        let idx = match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("finite")) {
-            Ok(i) => i,
-            Err(i) => i.min(cdf.len() - 1),
-        };
+        let i = s.cum.partition_point(|&c| c <= u).min(s.cum.len() - 1);
+        let idx = s.cell[i] as usize;
         (idx / self.n, idx % self.n)
     }
 
@@ -357,6 +380,33 @@ mod tests {
         }
         let frac = hot_hits as f64 / n as f64;
         assert!((frac - 0.9).abs() < 0.01, "hot pair sampled {frac}");
+    }
+
+    #[test]
+    fn a_draw_past_the_float_sum_picks_a_non_zero_cell() {
+        // The 240 fractions of uniform(16) sum to just below 1.0, so the
+        // largest draw `SimRng::f64` makes lies past the last cumulative
+        // value. Clamping to the last dense cell picked (15, 15).
+        let m = TrafficMatrix::uniform(16);
+        let u = 1.0 - f64::EPSILON / 2.0;
+        let (s, d) = m.pick_pair(u);
+        assert_ne!(s, d, "picked the zero-weight diagonal cell ({s}, {d})");
+        assert!(m.fraction(s, d) > 0.0);
+        assert_eq!((s, d), (15, 14), "the last non-zero cell");
+    }
+
+    #[test]
+    fn a_draw_on_a_cumulative_value_picks_the_next_non_zero_cell() {
+        // permutation(4, 1): (0,1), (1,2), (2,3), (3,0) at 0.25 each, with
+        // zero cells between them. A draw of exactly 0.25 ends (0, 1)'s
+        // interval and starts (1, 2)'s; a binary search over the dense
+        // cumulative sums could return any of the zero cells between.
+        let m = TrafficMatrix::permutation(4, 1);
+        assert_eq!(m.pick_pair(0.0), (0, 1));
+        assert_eq!(m.pick_pair(0.25), (1, 2));
+        assert_eq!(m.pick_pair(0.5), (2, 3));
+        assert_eq!(m.pick_pair(0.75), (3, 0));
+        assert_eq!(m.pick_pair(0.7499999), (2, 3));
     }
 
     #[test]

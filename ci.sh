@@ -71,6 +71,10 @@ grep -q '"name": "scale-stress/n1024"' results/bench_smoke_ci.json \
     || { echo "ci.sh: smoke subset lost the kilofabric scale point"; exit 1; }
 grep -q '"name": "scale-stress/n2048"' results/bench_smoke_ci.json \
     || { echo "ci.sh: smoke subset lost the 2048-port sharded scale point"; exit 1; }
+# The one software-placement point: the --shards 2 invariance pass
+# below is the only bench check of the host side's VOQs and grants.
+grep -q '"name": "hotspot-sw/n16"' results/bench_smoke_ci.json \
+    || { echo "ci.sh: smoke subset lost the software-placement point"; exit 1; }
 grep -q '"phase_decompose_ns"' results/bench_smoke_ci.json \
     || { echo "ci.sh: per-phase epoch timings missing from bench artifact"; exit 1; }
 grep -q '"phase_estimate_ns"' results/bench_smoke_ci.json \

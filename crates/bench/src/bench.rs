@@ -21,9 +21,9 @@
 //! * `scale-stress` at 128, 256, 512, 1024 and 2048 ports — multi-entry
 //!   schedule execution at fabric scale (each point also records a
 //!   wall-clock phase split: estimate / decompose / apply). The two
-//!   largest points run at K = n shards (one source row per shard):
-//!   each window then drains one port's events against an L2-resident
-//!   VOQ row instead of streaming the full n² bank. Events and
+//!   largest points run at K = n shards (one source port per shard):
+//!   each window then drains one port's events against its own small
+//!   VOQ bank, which holds only the pairs that port sends to. Events and
 //!   delivered bytes are shard-count-invariant by the core's
 //!   determinism contract, so forcing another K moves neither.
 //!
@@ -246,10 +246,10 @@ pub fn catalogue(smoke: bool) -> Vec<ScenarioSpec> {
             } else {
                 SimDuration::from_millis(2)
             }),
-        // The two-kilofabric rung: only reachable on the sharded core —
-        // a dense single-fabric VOQ bank at 2048 ports would be ~4M pair
-        // states, where four row-windowed shard banks split that state
-        // and keep per-window working sets cache-sized.
+        // The two-kilofabric rung, one shard per port: each shard's VOQ
+        // bank holds records only for the pairs its host sends to (4 of
+        // 2048 under multi-ring), and each window drains one port's
+        // events against its own small bank and pools.
         library::scenario("scale-stress")
             .expect("catalogue entry")
             .with_ports(2048)

@@ -3,17 +3,19 @@
 //! its users queue.
 //!
 //! Two pools use it, and both hold 40-byte `Staged` entries, each a run
-//! of one flow's consecutive packets. The switch-side VOQ bank
-//! ([`crate::processing::ProcessingLogic`]) appends an arriving packet to
-//! its VOQ's tail run when the packet continues it; each shard's hosts
-//! stage a whole flow (or app send) as one entry (the staging queues and
-//! the slow-mode host VOQs in [`crate::runtime`]). Both cut one packet
-//! off the front run each time one leaves. A queue is a [`Fifo`] — a
-//! 12-byte header naming a chunk list inside the pool — so moving an
-//! entry touches one pool slot and one compact header, enqueue order is
-//! preserved exactly, and freed chunks recycle through a FIFO free list
-//! (chunks freed together are reused together, keeping traversals in
-//! allocation order).
+//! of one flow's consecutive packets. Each shard's hosts stage a whole
+//! flow (or app send) as one entry in their staging queues (in
+//! [`crate::runtime`]). The VOQ bank
+//! ([`crate::processing::ProcessingLogic`]) keeps a FIFO of runs per
+//! pair: under hardware placement it appends an arriving packet to its
+//! VOQ's tail run when the packet continues it, and under software
+//! placement a host queues a whole flow (or gated app send) there as one
+//! run. Whoever sends cuts one packet off the front run each time one
+//! leaves. A queue is a [`Fifo`] — a 12-byte header naming a chunk list
+//! inside the pool — so moving an entry touches one pool slot and one
+//! compact header, enqueue order is preserved exactly, and freed chunks
+//! recycle through a FIFO free list (chunks freed together are reused
+//! together, keeping traversals in allocation order).
 //!
 //! The pool tracks live entries and in-use chunks so callers can assert
 //! **occupancy conservation** at epoch boundaries: every chunk is either
@@ -53,7 +55,8 @@ pub struct Fifo {
     tail_len: u8,
 }
 
-// Slow mode keeps n² host VOQ headers: they stay 12 bytes.
+// Each host keeps three headers and each VOQ record one (within its
+// 40 B): they stay 12 bytes.
 const _: () = assert!(std::mem::size_of::<Fifo>() == 12);
 
 impl Default for Fifo {
@@ -331,8 +334,10 @@ impl<T: Copy> Pool<T> {
 
 /// A run of one flow's consecutive packets, not yet cut: flow id, ports,
 /// class, creation time, bytes left, next `seq` and segment size. Hosts
-/// stage a whole flow or app send as one run; the VOQ bank grows its
-/// tail run by each packet that continues it ([`append`](Self::append)).
+/// stage a whole flow or app send as one run, and under software
+/// placement queue it whole in the VOQ bank; under hardware placement the
+/// bank grows its tail run by each packet that continues it
+/// ([`append`](Self::append)).
 /// Whoever sends cuts one packet off the front run at a time, so a queue
 /// holds one pool slot per run however many packets it becomes.
 ///
@@ -345,13 +350,13 @@ pub(crate) struct Staged {
     created: SimTime,
     /// Bytes not yet cut into packets.
     pub(crate) left: u64,
-    src: PortNo,
-    dst: PortNo,
+    pub(crate) src: PortNo,
+    pub(crate) dst: PortNo,
     class: TrafficClass,
     /// `seq` of the next packet.
     seq: u32,
     /// Segment size: the MTU for a flow, the packet size for an app send,
-    /// the first packet's size for a VOQ run.
+    /// the first packet's size for a run built from arriving packets.
     seg: u32,
 }
 
@@ -458,20 +463,19 @@ impl Pool<Staged> {
         Some(pkt)
     }
 
-    /// Cuts packets off the front of `q` while their cumulative size fits
-    /// within `budget_bytes`, appending them to `out`. Returns the bytes
-    /// cut (grant execution's budgeted dequeue). A budget may split a
-    /// run: its rest stays at the front.
-    pub(crate) fn cut_upto_into(
+    /// Cuts packets off the front of `q` while `accept` takes the next
+    /// packet's size in bytes, appending them to `out`; returns the bytes
+    /// cut. A grant may end inside a run: its rest stays at the front.
+    pub(crate) fn cut_while_into(
         &mut self,
         q: &mut Fifo,
-        budget_bytes: u64,
+        mut accept: impl FnMut(u64) -> bool,
         out: &mut Vec<Packet>,
     ) -> u64 {
         let mut used = 0u64;
         while let Some(run) = self.front(q) {
             let b = run.front_bytes() as u64;
-            if used + b > budget_bytes {
+            if !accept(b) {
                 break;
             }
             used += b;
@@ -479,6 +483,12 @@ impl Pool<Staged> {
         }
         used
     }
+}
+
+/// A grant predicate for a byte budget (a slot's capacity): it takes
+/// packets while their total fits within `room`.
+pub(crate) fn byte_budget(mut room: u64) -> impl FnMut(u64) -> bool {
+    move |b| room.checked_sub(b).map(|left| room = left).is_some()
 }
 
 #[cfg(test)]
@@ -573,7 +583,7 @@ mod tests {
         assert_eq!(pool.chunk_growth_count(), 3, "9 runs = 3 fresh chunks");
         pool.check_conserved().expect("mid-run ledger balances");
         let mut out = Vec::new();
-        pool.cut_upto_into(&mut f, u64::MAX, &mut out);
+        pool.cut_while_into(&mut f, byte_budget(u64::MAX), &mut out);
         assert_eq!(pool.free_count(), 9);
         assert_eq!(pool.live_peak(), 9, "peak survives the drain");
         pool.check_conserved().expect("drained pool conserves");
@@ -635,14 +645,14 @@ mod tests {
         pool.push(&mut f, Staged::of_packet(&pkt(9, 700)));
         let before_chunks = pool.chunks_in_use();
         let mut out = Vec::new();
-        let used = pool.cut_upto_into(&mut f, 4000, &mut out);
+        let used = pool.cut_while_into(&mut f, byte_budget(4000), &mut out);
         assert_eq!(used, 3000);
         assert_eq!(out.iter().map(|p| p.seq).collect::<Vec<_>>(), [0, 1]);
         // The budget split the run: its rest stays at the front.
         assert_eq!(pool.live(), 2);
         assert_eq!(pool.front(&f).map(|r| (r.seq, r.left)), Some((2, 4500)));
         assert_eq!(pool.chunks_in_use(), before_chunks);
-        let used = pool.cut_upto_into(&mut f, u64::MAX, &mut out);
+        let used = pool.cut_while_into(&mut f, byte_budget(u64::MAX), &mut out);
         assert_eq!(used, 5200);
         assert_eq!(out.iter().map(|p| p.bytes).sum::<u32>(), 8200);
         assert_eq!(out.last().map(|p| (p.flow, p.seq)), Some((9, 9)));
@@ -651,7 +661,10 @@ mod tests {
         pool.debug_assert_conserved();
         // A second drain on the empty FIFO must be a no-op, not a
         // double free.
-        assert_eq!(pool.cut_upto_into(&mut f, u64::MAX, &mut out), 0);
+        assert_eq!(
+            pool.cut_while_into(&mut f, byte_budget(u64::MAX), &mut out),
+            0
+        );
         assert_eq!(pool.chunks_in_use(), 0);
     }
 

@@ -7,13 +7,20 @@
 //! grants."
 //!
 //! No look-up runs here: a flow's class is set when the flow is generated
-//! (from the flow-size threshold), so by the time a packet reaches the VOQ
-//! bank it carries its class and egress. This module owns the VOQs of the
-//! pairs that traffic reaches, the request generation (dirty-pair
-//! tracking), and grant execution (budgeted dequeue).
+//! (from the flow-size threshold), so by the time bytes reach the VOQ
+//! bank they carry their class and egress. This module owns the VOQs of
+//! the pairs that traffic reaches, the request generation (dirty-pair
+//! tracking), and grant execution.
 //!
-//! A bank keeps state only for the pairs its packets reach: a record is
-//! made when a pair's first packet is admitted, so a run's VOQ state
+//! One bank serves both scheduler placements. Under hardware placement
+//! it is the switch's buffer: a packet enters at switch arrival, within
+//! `voq_capacity`, and a slot's activation cuts what fits its budget.
+//! Under software placement it is host memory: a host queues a whole
+//! flow (or gated app send) with no capacity check, and cuts what its NIC
+//! can send within a grant's window as its own clock sees it.
+//!
+//! A bank keeps state only for the pairs its traffic reaches: a record is
+//! made when a pair's first bytes are queued, so a run's VOQ state
 //! grows with the pairs its traffic touches, not with n². The trade-off
 //! is on dense traffic: a pair costs a record of at most 40 B plus a
 //! hash-map entry (8 B and a control byte), where a dense `n × n` array
@@ -72,10 +79,11 @@ const NO_KEY: u32 = u32::MAX;
 /// ([`Pool`] — a free-list slab of 4-entry chunks), each run holding one
 /// flow's consecutive packets. An arriving packet that continues its
 /// VOQ's tail run (same flow, the next `seq`, after a full segment) only
-/// grows that run's byte count; any other packet opens a new run. A grant
-/// cuts packets off the front run, so the bank hands out exactly the
-/// packets it was given, in order, while a backlog costs one pool slot
-/// per run rather than per packet. Queued bytes are maintained
+/// grows that run's byte count; any other packet opens a new run, and a
+/// host's whole flow is one run from the start. A grant cuts packets off
+/// the front run, so the bank hands out exactly the packets it was given
+/// (or a flow's eager packetization), in order, while a backlog costs one
+/// pool slot per run rather than per packet. Queued bytes are maintained
 /// incrementally, and dirty pairs are kept in an explicit list, so
 /// request generation touches only the pairs that changed.
 ///
@@ -105,8 +113,8 @@ pub struct ProcessingLogic {
 
 impl ProcessingLogic {
     /// Creates an empty VOQ bank for an `n`-port fabric with
-    /// `voq_capacity` bytes per queue. It holds no record until a packet
-    /// arrives.
+    /// `voq_capacity` bytes per switch queue. It holds no record until
+    /// bytes are queued.
     pub fn new(n: usize, voq_capacity: u64) -> Self {
         assert!(n >= 2, "need at least 2 ports");
         // Ports are 16-bit, so a key `src·n + dst` fits in 32 bits.
@@ -130,7 +138,8 @@ impl ProcessingLogic {
     }
 
     /// Number of pairs the bank holds a record for: the distinct
-    /// `(src, dst)` pairs that have had a packet admitted.
+    /// `(src, dst)` pairs that have had bytes queued (a packet admitted,
+    /// or a host's run pushed).
     pub fn pair_count(&self) -> usize {
         self.pairs.len()
     }
@@ -184,31 +193,50 @@ impl ProcessingLogic {
     /// the caller has nothing to release (the caller counts the drop).
     pub fn enqueue(&mut self, p: Packet) -> Result<(), Packet> {
         let (src, dst) = (p.src.index(), p.dst.index());
-        let key = self.key(src, dst);
-        let bytes = p.bytes as u64;
-        let found = self.slot(key, src);
+        let found = self.slot(self.key(src, dst), src);
         let queued = found.map_or(0, |s| self.pairs[s].queued);
-        if queued + bytes > self.voq_capacity {
+        if queued + p.bytes as u64 > self.voq_capacity {
             return Err(p);
         }
+        let (pool, fifo) = self.book(src, dst, found, p.bytes as u64);
+        if !pool.back_mut(fifo).is_some_and(|run| run.append(&p)) {
+            pool.push(fifo, Staged::of_packet(&p));
+        }
+        Ok(())
+    }
+
+    /// Queues a whole run — a flow or gated app send a host holds for a
+    /// grant — on its pair's VOQ as one entry, with no capacity check:
+    /// host memory is unbounded, so `voq_capacity` bounds switch VOQs
+    /// only. The pair's first run makes its record.
+    pub(crate) fn push_run(&mut self, run: Staged) {
+        let (src, dst) = (run.src.index(), run.dst.index());
+        let found = self.slot(self.key(src, dst), src);
+        let (pool, fifo) = self.book(src, dst, found, run.left);
+        pool.push(fifo, run);
+    }
+
+    /// Books `bytes` arriving on `(src, dst)` (whose record is `found`, or
+    /// made here) and lends the pair's FIFO and the pool to queue them.
+    fn book(
+        &mut self,
+        src: usize,
+        dst: usize,
+        found: Option<usize>,
+        bytes: u64,
+    ) -> (&mut Pool<Staged>, &mut Fifo) {
+        let key = self.key(src, dst);
         let slot = match found {
             Some(slot) => slot,
             None => self.insert(key, src, dst),
         };
         self.cache[src % CACHE_LEN] = (key, slot as u32);
+        self.mark_dirty(key, slot);
         let pair = &mut self.pairs[slot];
-        let appended = self
-            .pool
-            .back_mut(&pair.fifo)
-            .is_some_and(|run| run.append(&p));
-        if !appended {
-            self.pool.push(&mut pair.fifo, Staged::of_packet(&p));
-        }
         pair.arrived_total += bytes;
         pair.queued += bytes;
         self.total_queued += bytes;
-        self.mark_dirty(key, slot);
-        Ok(())
+        (&mut self.pool, &mut pair.fifo)
     }
 
     /// Bytes queued for `(src, dst)`.
@@ -263,16 +291,16 @@ impl ProcessingLogic {
     }
 
     /// Executes a grant: cuts packets off the front of `(src, dst)`, in
-    /// arrival order, while their total size fits within `budget_bytes`
-    /// (a slot's capacity), appending them to a reused buffer (the
-    /// grant-execution hot path runs once per matched pair per slot). The
-    /// VOQ is marked dirty so the occupancy drop is reported in the next
-    /// request wave. A grant on a pair without a record does nothing.
-    pub fn dequeue_upto_into(
+    /// arrival order, while `accept` takes the next packet's size in
+    /// bytes (a slot's byte budget, or a host's window), appending them
+    /// to a reused buffer. The VOQ is marked dirty when a packet leaves,
+    /// so the change is reported in the next request wave. A grant on a
+    /// pair without a record does nothing.
+    pub fn grant_into(
         &mut self,
         src: usize,
         dst: usize,
-        budget_bytes: u64,
+        accept: impl FnMut(u64) -> bool,
         out: &mut Vec<Packet>,
     ) {
         let key = self.key(src, dst);
@@ -280,10 +308,11 @@ impl ProcessingLogic {
             return;
         };
         let pair = &mut self.pairs[slot];
-        let used = self.pool.cut_upto_into(&mut pair.fifo, budget_bytes, out);
-        if used > 0 {
-            pair.queued -= used;
-            self.total_queued -= used;
+        let before = out.len();
+        let used = self.pool.cut_while_into(&mut pair.fifo, accept, out);
+        pair.queued -= used;
+        self.total_queued -= used;
+        if out.len() > before {
             self.mark_dirty(key, slot);
         }
     }
@@ -316,6 +345,7 @@ impl ProcessingLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::byte_budget;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, VecDeque};
     use xds_net::{PortNo, TrafficClass};
@@ -342,7 +372,7 @@ mod tests {
 
     fn grant(p: &mut ProcessingLogic, src: usize, dst: usize, budget: u64) -> Vec<Packet> {
         let mut out = Vec::new();
-        p.dequeue_upto_into(src, dst, budget, &mut out);
+        p.grant_into(src, dst, byte_budget(budget), &mut out);
         out
     }
 
@@ -604,11 +634,26 @@ mod tests {
                 used += p.bytes as u64;
                 out.extend(q.fifo.pop_front());
             }
-            if used > 0 {
-                q.queued -= used;
+            q.queued -= used;
+            // Any packet leaving is a status change, empty ones too.
+            q.dirty |= !out.is_empty();
+            out
+        }
+
+        /// A host's whole run: every packet it cuts into, with no
+        /// capacity check. Pushing a run of no bytes still makes the
+        /// pair's record and queues its one empty packet.
+        fn push_run(&mut self, packets: impl Iterator<Item = Packet>) {
+            for p in packets {
+                let q = self
+                    .pairs
+                    .entry((p.src.index(), p.dst.index()))
+                    .or_default();
+                q.queued += p.bytes as u64;
+                q.arrived += p.bytes as u64;
+                q.fifo.push_back(p);
                 q.dirty = true;
             }
-            out
         }
 
         /// The dirty pairs of source rows `rows`, in `(src, dst)` order.
@@ -708,7 +753,7 @@ mod tests {
             };
             for _ in 0..rng.range_u64(1, 9) {
                 let mut offered = None;
-                match rng.below(10) {
+                match rng.below(11) {
                     // A new flow, cut later packet by packet, interleaved
                     // with every other flow in flight.
                     0 | 1 => {
@@ -754,6 +799,26 @@ mod tests {
                             }
                         }
                     }
+                    // A host's whole flow, queued as one run past the
+                    // capacity check, which later packets of other flows
+                    // meet.
+                    9 => {
+                        let (s, d) = pair(&mut rng);
+                        next_flow += 1;
+                        let run = Staged::new(
+                            next_flow,
+                            PortNo::from(s),
+                            PortNo::from(d),
+                            flow_bytes(&mut rng),
+                            class(&mut rng),
+                            at,
+                            MTU,
+                        );
+                        let mut q = Fifo::new();
+                        pool.push(&mut q, run);
+                        reference.push_run(std::iter::from_fn(|| pool.cut_front(&mut q)));
+                        bank[bank_of(s)].push_run(run);
+                    }
                     // A grant with a budget that may split a run, drain a
                     // pair (which later flows refill) or hit a pair that
                     // has no record yet.
@@ -761,7 +826,7 @@ mod tests {
                         let (s, d) = pair(&mut rng);
                         let b = budget(&mut rng);
                         granted.clear();
-                        bank[bank_of(s)].dequeue_upto_into(s, d, b, &mut granted);
+                        bank[bank_of(s)].grant_into(s, d, byte_budget(b), &mut granted);
                         let want = reference.grant(s, d, b);
                         prop_assert_eq!(
                             &granted,
@@ -829,7 +894,8 @@ mod tests {
         /// The run banks hand out exactly the packets a per-pair packet
         /// FIFO would: same packets, all fields, same order, same
         /// admission, requests, byte counts, records and occupancy, with
-        /// the fabric's source rows split over one to three banks.
+        /// hosts' whole runs pushed among the admitted packets and the
+        /// fabric's source rows split over one to three banks.
         #[test]
         fn run_bank_matches_a_packet_fifo_per_pair(
             seed in any::<u64>(),

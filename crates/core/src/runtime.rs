@@ -6,15 +6,22 @@
 //! grants drain VOQs onto configured circuits → destination host.
 //!
 //! Data path (slow scheduling / software placement):
-//! bulk waits in *host* VOQs; grants travel the control channel; hosts
-//! transmit into their (clock-skew-shifted) view of the slot; packets that
-//! hit a dark or re-assigned circuit are synchronization violations.
+//! bulk waits in *host* memory, a whole flow per entry in the owning
+//! shard's VOQ bank; grants travel the control channel; hosts transmit
+//! into their (clock-skew-shifted) view of the slot; packets that hit a
+//! dark or re-assigned circuit are synchronization violations.
+//!
+//! Both placements queue gated bytes in the same VOQ bank
+//! ([`ProcessingLogic`]); placement decides only when bytes enter it (a
+//! flow at injection, or a packet at switch arrival), which buffer site
+//! books them, and who cuts them (the host against its clock, or the
+//! slot's activation).
 //!
 //! There is one event loop, shaped like the paper's switch: a
 //! **coordinator** owns the central scheduler, the estimator, the OCS/EPS,
 //! the run's recorder and the buffer tracker, and **K port-group
-//! shards** own the hosts and the switch's VOQ banks (the `shard` child
-//! module runs it). A build without [`SimBuilder::shards`] is K = 1: one
+//! shards** own the hosts and the VOQ banks (the `shard` child module
+//! runs it). A build without [`SimBuilder::shards`] is K = 1: one
 //! shard owning every port. This module holds the coordinator's state,
 //! its events and the end-of-run report, plus the builder. Every handler
 //! is a match arm over a private event enum (no interior mutability).
@@ -37,7 +44,7 @@ use crate::demand::{DemandEstimator, DemandMatrix, MirrorEstimator, SchedRequest
 use crate::fault::{FaultPlan, FaultState, SlotFault};
 use crate::instrument::{DropCause, EpochSample, InstrProfile, Instrumentation, APP_FLOW_BASE};
 use crate::node::Workload;
-use crate::pool::{Fifo, Pool, Staged};
+use crate::pool::{byte_budget, Fifo, Pool, Staged};
 use crate::processing::ProcessingLogic;
 use crate::report::{DropStats, EpochPhaseNs, RunReport};
 use crate::sched::{Schedule, ScheduleCtx, Scheduler};
@@ -83,15 +90,16 @@ enum Ev {
     LinkRepair { port: usize },
 }
 
-/// Per-host state. Field order is deliberate: the pump path (once per
-/// packet) touches `nic_busy_until`, `pump_active` and the staging-queue
-/// headers, so those lead the struct and share cache lines; the slow-
-/// mode VOQ state is colder and trails.
+/// Per-host state: the NIC, its staging queues and the host's clock.
+/// The pump path (once per packet) touches `nic_busy_until`,
+/// `pump_active` and the staging-queue headers, so those lead the
+/// struct and share a cache line.
 ///
 /// Staged flows live in the owning shard's host [`Pool`]: the staging
-/// queues and slow-mode VOQs are 12-byte intrusive FIFO headers over
-/// [`Staged`] entries, one per flow (or app send) rather than one per
-/// packet, and the shard's hosts recycle entries through one free list.
+/// queues are 12-byte intrusive FIFO headers over [`Staged`] entries, one
+/// per flow (or app send) rather than one per packet, and the shard's
+/// hosts recycle entries through one free list. Under software placement
+/// the flows that wait for grants sit in the shard's VOQ bank instead.
 #[derive(Debug)]
 struct Host {
     nic_busy_until: SimTime,
@@ -100,32 +108,16 @@ struct Host {
     q_inter: Fifo,
     q_short: Fifo,
     q_bulk: Fifo,
-    /// Slow mode: per-destination bulk VOQs held in host memory. These
-    /// four vectors are n long under software placement and empty under
-    /// hardware placement, where no code path reads them.
-    voq: Vec<Fifo>,
-    voq_bytes: Vec<u64>,
-    /// Incremental sum of `voq_bytes` (O(1) ground-truth total).
-    voq_total: u64,
-    voq_arrived: Vec<u64>,
-    voq_dirty: Vec<bool>,
     /// Clock offset vs the switch in signed nanoseconds (slow mode).
     clock_offset_ns: i64,
 }
 
 impl Host {
-    /// A host with `voqs` slow-mode VOQs: `n` under software placement,
-    /// 0 under hardware placement.
-    fn new(voqs: usize) -> Self {
+    fn new() -> Self {
         Host {
             q_inter: Fifo::new(),
             q_short: Fifo::new(),
             q_bulk: Fifo::new(),
-            voq: (0..voqs).map(|_| Fifo::new()).collect(),
-            voq_bytes: vec![0; voqs],
-            voq_total: 0,
-            voq_arrived: vec![0; voqs],
-            voq_dirty: vec![false; voqs],
             pump_active: false,
             nic_busy_until: SimTime::ZERO,
             clock_offset_ns: 0,
@@ -139,16 +131,6 @@ impl Host {
             TrafficClass::Short => &mut self.q_short,
             TrafficClass::Bulk => &mut self.q_bulk,
         }
-    }
-
-    /// Queues a staged entry for slow-mode grant transmission toward
-    /// `dst`, booking its bytes as VOQ demand.
-    fn stage_voq(&mut self, pool: &mut Pool<Staged>, dst: usize, entry: Staged) {
-        pool.push(&mut self.voq[dst], entry);
-        self.voq_bytes[dst] += entry.left;
-        self.voq_total += entry.left;
-        self.voq_arrived[dst] += entry.left;
-        self.voq_dirty[dst] = true;
     }
 
     /// The NIC's next packet: cut off the first non-empty staging queue
@@ -563,8 +545,7 @@ impl SimBuilder {
         };
         // Hosts are built in global port order (the clock-offset draws
         // below fix that order); `run` hands each to its shard.
-        let voqs = if is_hw { 0 } else { n };
-        let mut hosts: Vec<Host> = (0..n).map(|_| Host::new(voqs)).collect();
+        let mut hosts: Vec<Host> = (0..n).map(|_| Host::new()).collect();
         if let Placement::Software { sync, .. } = &cfg.placement {
             let mut sync_rng = rng.fork();
             for h in &mut hosts {
@@ -815,7 +796,7 @@ mod tests {
             TrafficClass::Short,
         ];
         let mut pool = Pool::new();
-        let mut host = Host::new(0);
+        let mut host = Host::new();
         // One queue per class, popped in strict priority like the NIC.
         let mut want: [VecDeque<Packet>; 3] = Default::default();
         let pop_want =
@@ -872,15 +853,15 @@ mod tests {
 
     #[test]
     fn slow_mode_grants_cut_the_packets_eager_packetization_made() {
-        let dst = 2;
-        let mut pool = Pool::new();
-        let mut host = Host::new(4);
+        // Software placement queues each flow whole in the VOQ bank, past
+        // its one-byte switch capacity.
+        let mut bank = ProcessingLogic::new(4, 1);
         let mut want = VecDeque::new();
         for (id, &bytes) in EDGE_SIZES.iter().enumerate() {
             let created = SimTime::from_nanos(10 * id as u64);
             want.extend(eager(id as u64, TrafficClass::Bulk, bytes, created));
             if bytes > 0 {
-                let entry = Staged::new(
+                let run = Staged::new(
                     id as u64,
                     PortNo(1),
                     PortNo(2),
@@ -889,30 +870,52 @@ mod tests {
                     created,
                     MTU,
                 );
-                host.stage_voq(&mut pool, dst, entry);
+                bank.push_run(run);
             }
         }
         let total: u64 = EDGE_SIZES.iter().sum();
-        assert_eq!(host.voq_bytes[dst], total);
-        assert_eq!((host.voq_total, host.voq_arrived[dst]), (total, total));
-        // Grant windows, in bytes: each step checks the front packet's
-        // size against what is left of the window, as a grant does.
+        assert_eq!(
+            (bank.queued_bytes(1, 2), bank.total_bytes()),
+            (total, total)
+        );
+        let mut reqs = Vec::new();
+        bank.take_requests_into(SimTime::ZERO, &mut reqs);
+        assert_eq!(
+            reqs.iter()
+                .map(|r| (r.src, r.dst, r.queued_bytes, r.arrived_bytes_total))
+                .collect::<Vec<_>>(),
+            [(1, 2, total, total)]
+        );
+        // Grant windows, in bytes: the bank offers each front packet's
+        // size, and the window takes it while it fits, as a grant does.
+        let mut granted = Vec::new();
         for window in [2000, MTU as u64 - 1, MTU as u64, 0, 9000, u64::MAX] {
-            let mut used = 0;
-            loop {
-                let front = pool.front(&host.voq[dst]).map(|e| e.front_bytes());
-                assert_eq!(front, want.front().map(|p| p.bytes));
-                let Some(bytes) = front else { break };
-                if used + bytes as u64 > window {
-                    break;
-                }
-                used += bytes as u64;
-                let cut = pool.cut_front(&mut host.voq[dst]);
-                assert_eq!(cut, want.pop_front());
+            let mut offered = Vec::new();
+            let mut room = byte_budget(window);
+            granted.clear();
+            bank.grant_into(
+                1,
+                2,
+                |b| {
+                    offered.push(b);
+                    room(b)
+                },
+                &mut granted,
+            );
+            let fronts: Vec<u64> = want
+                .iter()
+                .take(granted.len() + 1)
+                .map(|p| p.bytes as u64)
+                .collect();
+            assert_eq!(offered, fronts, "window {window}: front sizes");
+            for p in &granted {
+                assert_eq!(Some(*p), want.pop_front(), "window {window}");
             }
         }
-        assert!(want.is_empty() && host.voq[dst].is_empty());
-        pool.check_conserved().expect("host pool conserves");
+        assert!(want.is_empty());
+        assert_eq!(bank.total_bytes(), 0);
+        assert_eq!(bank.pool_occupancy(), (0, 0));
+        bank.check_pool_conserved().expect("bank pool conserves");
     }
 
     #[test]
@@ -956,6 +959,45 @@ mod tests {
             r.counters.pool_allocs <= runs_bound,
             "{} pool allocations against a bound of {runs_bound}",
             r.counters.pool_allocs
+        );
+    }
+
+    #[test]
+    fn software_placement_queues_whole_flows_in_the_bank() {
+        // Hosts queue their bulk flows and gated calls in the shard's VOQ
+        // bank, one run each, so the bank holds a record for every pair
+        // they queued for, and every pool entry is a whole flow or app
+        // send: one push each, into the bank or a staging queue.
+        let n = 4;
+        let mut cfg = NodeConfig::slow(
+            n,
+            SimDuration::from_micros(100),
+            SwSchedulerModel::tuned_userspace(),
+        );
+        cfg.epoch = SimDuration::from_millis(1);
+        cfg.voip_on_ocs = true;
+        let mut app = CbrApp::voip(0, PortNo(0), PortNo(2), SimTime::ZERO);
+        app.interval = SimDuration::from_micros(500);
+        let r = sim(
+            cfg,
+            flows(n, 0.3, 13).with_apps(vec![app]),
+            Box::new(HotspotScheduler::new(10_000)),
+            Box::new(MirrorEstimator::new(n)),
+        )
+        .run(SimTime::from_millis(20));
+        // The flows are 150 KB each and the calls send 200 B packets.
+        let app_sends = (r.offered_bytes - 150_000 * r.offered_flows) / 200;
+        assert!(app_sends > 0 && r.offered_flows > 0);
+        assert!(r.delivered_ocs_bytes > 0, "grants must move bulk");
+        assert!(
+            r.counters.voq_pairs > 0,
+            "hosts queued bulk, yet the banks hold no pair"
+        );
+        assert!(
+            r.counters.pool_allocs <= r.offered_flows + app_sends,
+            "{} pool allocations for {} flows and {app_sends} app sends",
+            r.counters.pool_allocs,
+            r.offered_flows
         );
     }
 

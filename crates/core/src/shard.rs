@@ -196,10 +196,10 @@ enum SEv {
     Pump { li: usize },
     /// A packet's last bit arrives at the switch ingress.
     SwitchIn { pkt: Packet },
-    /// (Slow mode) A grant reaches a host: transmit into the window as
-    /// the host's skewed clock sees it.
+    /// (Slow mode) A grant for `(src, dst)` reaches host `src`: transmit
+    /// into the window as the host's skewed clock sees it.
     HostGrant {
-        li: usize,
+        src: usize,
         dst: usize,
         slot_start: SimTime,
         slot_end: SimTime,
@@ -246,12 +246,15 @@ struct Shard<'m> {
     /// in `hosts` is its port's [`ShardMap::local_of`].
     map: &'m ShardMap,
     hosts: Vec<Host>,
-    /// Backs this shard's staging queues and host VOQs: one entry per
-    /// staged flow or app send.
+    /// Backs this shard's staging queues: one entry per staged flow or
+    /// app send.
     pool: Pool<Staged>,
-    /// The switch VOQ bank of this shard's source ports: records for the
-    /// pairs their packets reached.
+    /// The VOQ bank of this shard's source ports — the switch's VOQs
+    /// under hardware placement, the hosts' under software placement:
+    /// records for the pairs their traffic reached.
     proc: ProcessingLogic,
+    /// Reused buffer for the packets a host grant cuts.
+    granted: Vec<Packet>,
     /// Every event is stamped with its *scheduling* time — the `now` of
     /// the handler (or coordinator) that scheduled it — and the queue
     /// pops same-instant events in stamp order: the insertion order of
@@ -339,31 +342,30 @@ impl Shard<'_> {
             // already happened coordinator-side at pre-generation.
             SEv::Inject { flow: f } => {
                 let li = self.local_of(f.src.index());
-                let host_voq = self.gated(f.class) && !self.is_hw;
-                let h = &mut self.hosts[li];
                 // The whole flow is one staged entry; the NIC (or a
                 // slow-mode grant) cuts its packets as they leave. A flow
                 // of no bytes has no packets, so it stages nothing.
                 if f.bytes > 0 {
                     let entry = Staged::new(f.id, f.src, f.dst, f.bytes, f.class, now, self.mtu);
-                    if host_voq {
+                    if self.gated(f.class) && !self.is_hw {
                         // Slow scheduling: bulk waits in host memory for
-                        // a grant.
-                        h.stage_voq(&mut self.pool, f.dst.index(), entry);
+                        // a grant, as one run in the shard's VOQ bank.
+                        self.proc.push_run(entry);
+                        if self.observed {
+                            // One enqueue of the whole flow: the
+                            // tracker's peak after k same-instant
+                            // enqueues is that of their sum.
+                            self.ship(
+                                now,
+                                ShipKind::BufEnqueue {
+                                    site: Site::Host,
+                                    bytes: f.bytes,
+                                },
+                            );
+                        }
                     } else {
-                        self.pool.push(h.staging(f.class), entry);
+                        self.pool.push(self.hosts[li].staging(f.class), entry);
                     }
-                }
-                if host_voq && self.observed && f.bytes > 0 {
-                    // One enqueue of the whole flow: the tracker's peak
-                    // after k same-instant enqueues is that of their sum.
-                    self.ship(
-                        now,
-                        ShipKind::BufEnqueue {
-                            site: Site::Host,
-                            bytes: f.bytes,
-                        },
-                    );
                 }
                 self.ensure_pump(now, li);
             }
@@ -412,32 +414,35 @@ impl Shard<'_> {
             }
 
             SEv::HostGrant {
-                li,
+                src,
                 dst,
                 slot_start,
                 slot_end,
             } => {
                 // The host obeys its own clock: a skewed host mistimes the
-                // window (§2's synchronization argument).
+                // window (§2's synchronization argument). Its NIC sends
+                // each packet that it can serialize before the window
+                // closes, back to back.
+                let li = self.local_of(src);
                 let h = &self.hosts[li];
                 let end_seen = h.actual_time(slot_end);
-                let mut cursor = now.max(h.actual_time(slot_start)).max(h.nic_busy_until);
-                loop {
-                    let h = &mut self.hosts[li];
-                    let Some(front) = self.pool.front(&h.voq[dst]) else {
-                        break;
-                    };
-                    let bytes = front.front_bytes() as u64;
-                    let tx = self.host_tx.tx_time(bytes);
-                    if cursor + tx > end_seen {
-                        break;
+                let start = now.max(h.actual_time(slot_start)).max(h.nic_busy_until);
+                let mut cursor = start;
+                let fits = |bytes| {
+                    let dep = cursor + self.host_tx.tx_time(bytes);
+                    let fits = dep <= end_seen;
+                    if fits {
+                        cursor = dep;
                     }
-                    let pkt = self.pool.cut_front(&mut h.voq[dst]).expect("peeked");
-                    let dep = cursor + tx;
-                    cursor = dep;
-                    h.voq_bytes[dst] -= bytes;
-                    h.voq_total -= bytes;
-                    h.voq_dirty[dst] = true;
+                    fits
+                };
+                let mut granted = std::mem::take(&mut self.granted);
+                self.proc.grant_into(src, dst, fits, &mut granted);
+                // The same departures again, for the packets cut.
+                let mut dep = start;
+                for pkt in granted.drain(..) {
+                    let bytes = pkt.bytes as u64;
+                    dep += self.host_tx.tx_time(bytes);
                     if self.observed {
                         self.ship(
                             now,
@@ -450,8 +455,9 @@ impl Shard<'_> {
                     }
                     self.queue.schedule_at(dep + self.prop, SEv::OcsIn { pkt });
                 }
+                self.granted = granted;
                 let h = &mut self.hosts[li];
-                h.nic_busy_until = h.nic_busy_until.max(cursor);
+                h.nic_busy_until = h.nic_busy_until.max(dep);
             }
 
             SEv::OcsIn { pkt } => {
@@ -500,6 +506,7 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
                 hosts,
                 pool: Pool::new(),
                 proc: ProcessingLogic::new(n, state.cfg.voq_capacity),
+                granted: Vec::new(),
                 queue: EventQueue::new(),
                 host_tx: state.cfg.host_link.rate.tx_cache(),
                 is_hw: state.is_hw,
@@ -584,7 +591,8 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
             pool_allocs: s.pool.alloc_count() + a,
             pool_frees: s.pool.free_count() + f,
             // Per shard: host-pool peak (staged flows) + VOQ-bank peak
-            // (runs of a flow's consecutive packets). The pools never
+            // (runs of a flow's consecutive packets: switch-built runs,
+            // or whole flows hosts hold for grants). The pools never
             // trade entries, so the sum is a deterministic combined
             // ceiling. Across shards the merge takes the max — the
             // documented peak semantic.
@@ -816,17 +824,16 @@ fn handle_coord(
             st.offered_bytes += a.pkt_bytes as u64;
             let host = a.src.index();
             let sh = &mut shards[map.shard_of(host)];
-            let li = sh.local_of(host);
-            let h = &mut sh.hosts[li];
             if st.gated(TrafficClass::Interactive) && !st.is_hw {
                 // voip_on_ocs ablation under slow scheduling: the call
-                // waits in host memory like any elephant.
-                h.stage_voq(&mut sh.pool, a.dst.index(), entry);
+                // waits in host memory for a grant like any elephant.
+                sh.proc.push_run(entry);
                 if st.observed {
                     st.buffers.on_enqueue(Site::Host, a.pkt_bytes as u64, now);
                 }
             } else {
-                sh.pool.push(&mut h.q_inter, entry);
+                let li = sh.local_of(host);
+                sh.pool.push(&mut sh.hosts[li].q_inter, entry);
                 sh.ensure_pump(now, li);
             }
             let next = a.next_send(now, &mut st.rng);
@@ -838,41 +845,24 @@ fn handle_coord(
         Ev::EpochStart => {
             // xlint: allow(wall-clock) — epoch phase-timing split (RunReport::phases): host-time observability, excluded from golden serialization
             let phase_t0 = std::time::Instant::now();
-            // Pool-boundary audit, once per epoch: every chunk in a
-            // shard's host pool is on the free list or reachable from
-            // exactly one staging queue / VOQ (the switch-side pool
-            // asserts the same inside `take_requests_into`). Free in
-            // release builds.
-            for s in shards.iter() {
-                s.pool.debug_assert_conserved();
-            }
-            // Figure 2: requests → demand estimation → algorithm.
-            // Requests from every shard merge into global (src, dst)
-            // order — identical to a full-fabric row-major scan.
-            // Requests, demand and ground truth all land in reused
-            // scratch buffers: this loop runs every epoch and must not
-            // make n²-sized allocations.
+            // Figure 2: requests → demand estimation → algorithm. One
+            // walk over the shards collects every shard's requests and
+            // its queued bytes (the ground-truth backlog, O(1) a bank),
+            // and audits its host pool: every chunk is on the free list
+            // or reachable from exactly one staging queue (the bank's
+            // pool asserts the same inside `take_requests_into`). The
+            // audit is free in release builds. Requests merge into
+            // global (src, dst) order — identical to a full-fabric
+            // row-major scan — and land in a reused scratch buffer: this
+            // loop runs every epoch and must not make n²-sized
+            // allocations.
             let mut reqs = std::mem::take(&mut st.reqs_scratch);
             reqs.clear();
+            let mut truth_total = 0;
             for s in shards.iter_mut() {
-                if st.is_hw {
-                    s.proc.take_requests_into(now, &mut reqs);
-                } else {
-                    for (&hi, h) in map.ports_of(s.id).iter().zip(s.hosts.iter_mut()) {
-                        for d in 0..h.voq_dirty.len() {
-                            if h.voq_dirty[d] {
-                                h.voq_dirty[d] = false;
-                                reqs.push(SchedRequest {
-                                    src: hi as usize,
-                                    dst: d,
-                                    queued_bytes: h.voq_bytes[d],
-                                    arrived_bytes_total: h.voq_arrived[d],
-                                    at: now,
-                                });
-                            }
-                        }
-                    }
-                }
+                s.pool.debug_assert_conserved();
+                s.proc.take_requests_into(now, &mut reqs);
+                truth_total += s.proc.total_bytes();
             }
             // Each shard emits its own rows in order; only rows from
             // several shards need merging.
@@ -893,42 +883,22 @@ fn handle_coord(
                 st.estimator
                     .estimate_into(now, st.cfg.epoch, &mut st.demand_scratch);
             }
-            // Demand-error sampling. The ground-truth backlog (an
-            // EpochSample field) is always available cheaply —
-            // incrementally in fast mode, an O(n) host sum in slow mode.
-            // The mirror's error is identically zero by construction
-            // (every occupancy change produced a request), and the
-            // non-mirror ground-truth snapshot + L1 pass (two n² walks)
-            // runs only when the run is observed — never under lean.
-            let truth_total: u64 = if st.is_hw {
-                shards.iter().map(|s| s.proc.total_bytes()).sum()
-            } else {
-                shards
-                    .iter()
-                    .map(|s| s.hosts.iter().map(|h| h.voq_total).sum::<u64>())
-                    .sum()
-            };
+            // Demand-error sampling. The mirror's error is identically
+            // zero by construction (every occupancy change produced a
+            // request), and the non-mirror ground-truth snapshot + L1
+            // pass (two n² walks) runs only when the run is observed —
+            // never under lean.
             let mut demand_err_rel: Option<f64> = None;
             if st.estimator_is_mirror {
                 if truth_total > 0 {
                     demand_err_rel = Some(0.0);
                 }
             } else if st.observed {
-                if st.is_hw {
-                    // Records are never removed, so the cells the banks
-                    // write cover every pair that ever held bytes; the
-                    // rest of the scratch matrix is still zero.
-                    for s in shards.iter() {
-                        s.proc.occupancy_into(&mut st.truth_scratch);
-                    }
-                } else {
-                    for s in shards.iter() {
-                        for (&hi, h) in map.ports_of(s.id).iter().zip(&s.hosts) {
-                            for d in 0..st.cfg.n_ports {
-                                st.truth_scratch.set(hi as usize, d, h.voq_bytes[d]);
-                            }
-                        }
-                    }
+                // Records are never removed, so the cells the banks write
+                // cover every pair that ever held bytes; the rest of the
+                // scratch matrix is still zero.
+                for s in shards.iter() {
+                    s.proc.occupancy_into(&mut st.truth_scratch);
                 }
                 let estimate = match st.estimator.estimate_ref(now, st.cfg.epoch) {
                     Some(m) => m,
@@ -1082,13 +1052,11 @@ fn handle_coord(
                 if ge > gs {
                     // Grants fan out to each source's owning shard.
                     for (i, j) in entry.perm.pairs() {
-                        let sh = &mut shards[map.shard_of(i)];
-                        let li = sh.local_of(i);
-                        sh.queue.schedule_stamped(
+                        shards[map.shard_of(i)].queue.schedule_stamped(
                             now + st.ctrl_oneway,
                             now,
                             SEv::HostGrant {
-                                li,
+                                src: i,
                                 dst: j,
                                 slot_start: gs,
                                 slot_end: ge,
@@ -1122,9 +1090,12 @@ fn handle_coord(
                 let mut granted = std::mem::take(&mut st.grant_scratch);
                 for (i, j) in entry.perm.pairs() {
                     granted.clear();
-                    shards[map.shard_of(i)]
-                        .proc
-                        .dequeue_upto_into(i, j, budget, &mut granted);
+                    shards[map.shard_of(i)].proc.grant_into(
+                        i,
+                        j,
+                        byte_budget(budget),
+                        &mut granted,
+                    );
                     if granted.is_empty() {
                         continue;
                     }

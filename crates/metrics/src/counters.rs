@@ -49,7 +49,9 @@ pub struct CounterSet {
     /// Ladder-queue sparse replenishes that bypassed bucketing.
     pub queue_direct_sorts: u64,
     /// Entries pushed into the pools: a staged flow or app send at a
-    /// host, a run of one flow's consecutive packets in the VOQ bank.
+    /// host, a run of one flow's consecutive packets in the VOQ bank
+    /// (under software placement, a whole flow or gated app send a host
+    /// holds for a grant).
     pub pool_allocs: u64,
     /// Entries popped from the pools.
     pub pool_frees: u64,
@@ -59,8 +61,9 @@ pub struct CounterSet {
     pub pool_chunk_growths: u64,
     /// Pair records the VOQ banks hold at the end of the run: the
     /// distinct `(src, dst)` pairs that had a packet admitted to the
-    /// switch's VOQ bank. A pair lives in the bank of the shard owning
-    /// its source, so the sum is the same for every shard map.
+    /// switch's VOQs, or under software placement the pairs hosts queued
+    /// gated bytes for. A pair lives in the bank of the shard owning its
+    /// source, so the sum is the same for every shard map.
     pub voq_pairs: u64,
     /// Grant bursts executed (one per served port pair per slot).
     pub grant_bursts: u64,
@@ -79,7 +82,9 @@ pub struct CounterSet {
     /// Bytes diverted from a granted OCS burst onto the EPS slow path
     /// because the circuit was faulted or stale.
     pub fault_failover_bytes: u64,
-    /// Packets dropped because a VOQ was full.
+    /// Packets dropped because a switch VOQ was at capacity
+    /// (`NodeConfig::voq_capacity`). Host VOQs are unbounded and never
+    /// drop.
     pub drop_voq_full: u64,
     /// Packets dropped because the EPS queue was full.
     pub drop_eps_full: u64,

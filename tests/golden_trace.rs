@@ -18,11 +18,13 @@
 
 use std::path::{Path, PathBuf};
 
+use xds_core::report::RunReport;
 use xds_scenario::{
-    library, InstrProfile, PlacementKind, ScenarioSpec, SchedulerKind, SwModelKind, SyncSpec,
-    TrafficPattern,
+    library, AppMix, InstrProfile, PlacementKind, ScenarioSpec, SchedulerKind, SwModelKind,
+    SyncSpec, TrafficPattern,
 };
 use xds_sim::SimDuration;
+use xds_traffic::FlowSizeDist;
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -65,6 +67,34 @@ fn slow_spec() -> ScenarioSpec {
         .with_duration(SimDuration::from_millis(12))
 }
 
+/// The gated-VoIP golden point: E4's `slow-sw-gated` configuration at
+/// load 0.5 (`exp_voip_jitter`) — eight accelerated VoIP legs over a
+/// websearch background under software placement, with `voip_on_ocs`
+/// gating the calls behind grants like any elephant. Exercises the app
+/// sends that wait in host memory for a grant beside the staged flows —
+/// pinned to seed 21.
+fn slow_gated_voip_spec() -> ScenarioSpec {
+    ScenarioSpec::new("golden-slow-gated-voip")
+        .with_ports(16)
+        .with_sizes(FlowSizeDist::WebSearch)
+        .with_load(0.5)
+        .with_apps(AppMix::Voip {
+            legs: 8,
+            interval: SimDuration::from_millis(1),
+        })
+        .with_reconfig(SimDuration::from_millis(1))
+        .with_placement(PlacementKind::Software {
+            model: SwModelKind::KernelDriver,
+            sync: SyncSpec::Ptp,
+        })
+        .with_scheduler(SchedulerKind::Hotspot {
+            threshold_bytes: 100_000,
+        })
+        .with_voip_on_ocs(true)
+        .with_seed(21)
+        .with_duration(SimDuration::from_millis(80))
+}
+
 /// The fault-storm golden point: the `fault-storm` catalogue entry —
 /// the websearch mix with every fault family armed (link flaps, OCS
 /// misfires, scheduler stalls) — pinned to seed 42 at 8 ports. Pins the
@@ -77,6 +107,15 @@ fn fault_storm_spec() -> ScenarioSpec {
         .with_ports(8)
         .with_seed(42)
         .with_duration(SimDuration::from_millis(2))
+}
+
+/// The counters registry as `{name} {value}` lines.
+fn counters_dump(report: &RunReport) -> String {
+    let mut got = String::new();
+    for (name, value) in report.counters.items() {
+        got.push_str(&format!("{name} {value}\n"));
+    }
+    got
 }
 
 fn check_golden(spec: ScenarioSpec, file: &str) {
@@ -145,10 +184,7 @@ fn golden_fast_mode_trace_is_byte_identical() {
 #[test]
 fn golden_fast_mode_counters_are_pinned_exactly() {
     let report = fast_spec().run().expect("golden spec must run");
-    let mut got = String::new();
-    for (name, value) in report.counters.items() {
-        got.push_str(&format!("{name} {value}\n"));
-    }
+    let got = counters_dump(&report);
     // The snapshot must not be vacuous: the fast path ticks the pool,
     // the grant machinery and the scheduler on this scenario.
     assert!(report.counters.pool_allocs > 0);
@@ -166,10 +202,7 @@ fn golden_fast_mode_counters_are_pinned_exactly() {
 #[test]
 fn golden_fault_storm_counters_are_pinned_exactly() {
     let report = fault_storm_spec().run().expect("golden spec must run");
-    let mut got = String::new();
-    for (name, value) in report.counters.items() {
-        got.push_str(&format!("{name} {value}\n"));
-    }
+    let got = counters_dump(&report);
     // Non-vacuous: the storm must visibly inject and visibly degrade.
     assert!(report.counters.fault_events_injected > 0);
     assert!(report.fault_degraded_ns > 0);
@@ -185,12 +218,48 @@ fn golden_slow_mode_trace_is_byte_identical() {
     check_golden(slow_spec(), "slow_hotspot.json");
 }
 
+/// The slow-mode golden's counters, pinned exactly like the fast
+/// point's: software placement keeps its staged flows and host VOQs in
+/// the pools, so a move in the host side's pool churn or pair records
+/// shows here.
+#[test]
+fn golden_slow_mode_counters_are_pinned_exactly() {
+    let report = slow_spec().run().expect("golden spec must run");
+    // Non-vacuous: the bulk flows went through a pool and were granted.
+    assert!(report.counters.pool_allocs > 0);
+    assert!(report.delivered_ocs_bytes > 0);
+    check_golden_counters(&counters_dump(&report), "slow_hotspot.counters.txt");
+}
+
+#[test]
+fn golden_slow_gated_voip_trace_is_byte_identical() {
+    check_golden(slow_gated_voip_spec(), "slow_gated_voip.json");
+}
+
+/// Gated app sends and staged flows share the host side's queues, and
+/// each source's shard owns them: four shards must reproduce one
+/// shard's serialized report exactly.
+#[test]
+fn golden_slow_gated_voip_is_shard_count_invariant() {
+    let spec = slow_gated_voip_spec();
+    let k1 = spec.run().expect("golden spec must run");
+    // Non-vacuous: some gated calls were granted and delivered.
+    assert!(k1.latency_interactive.count() > 0);
+    let k4 = spec.with_shards(4).run().expect("sharded spec must run");
+    assert_eq!(k1.trace_json(), k4.trace_json(), "K = 4 vs K = 1");
+}
+
 /// The golden runs themselves must be deterministic, or byte-identity
 /// against a snapshot would be meaningless: run each spec twice and
 /// require identical serializations within the same process.
 #[test]
 fn golden_specs_are_self_deterministic() {
-    for spec in [fast_spec(), slow_spec(), fault_storm_spec()] {
+    for spec in [
+        fast_spec(),
+        slow_spec(),
+        slow_gated_voip_spec(),
+        fault_storm_spec(),
+    ] {
         let a = spec.run().expect("spec runs").trace_json();
         let b = spec.run().expect("spec runs").trace_json();
         assert_eq!(a, b, "{} is not deterministic", spec.name);
@@ -204,7 +273,7 @@ fn golden_specs_are_self_deterministic() {
 /// same check in `crates/bench/tests/instrument_equivalence.rs`.)
 #[test]
 fn golden_scenarios_are_profile_invariant() {
-    for spec in [fast_spec(), slow_spec()] {
+    for spec in [fast_spec(), slow_spec(), slow_gated_voip_spec()] {
         let full = spec.clone().run().expect("full runs");
         for profile in [InstrProfile::Lean, InstrProfile::TimeSeries] {
             let other = spec

@@ -198,6 +198,22 @@ voq_pairs=$(grep -o '"voq_pairs": [0-9]*' results/ci_voq_pairs.json | grep -o '[
 [ "$voq_pairs" -gt 0 ] && [ "$voq_pairs" -le $((4 * 1024)) ] \
     || { echo "ci.sh: $voq_pairs VOQ pair records on scale-stress-1024: want 1 to 4096, the multi-ring's non-zero cells"; exit 1; }
 
+echo "==> NIC trains (a shard moves a host's back-to-back packets without a queue event apiece)"
+# `events` counts the model's events, `queue_pops` the ones popped from an
+# event queue. This point runs one shard per port, whose queue holds only
+# its host's events, so a train takes each departure and switch arrival
+# up to the host's next flow or the window's end: 13,601 pops of 867,761
+# events. With trains off every event is popped.
+train_count() {
+    grep -o "\"$1\": [0-9]*" results/ci_voq_pairs.json | grep -o '[0-9]*$'
+}
+train_pops=$(train_count queue_pops)
+train_events=$(train_count events)
+[ -n "$train_pops" ] && [ -n "$train_events" ] \
+    || { echo "ci.sh: scale-stress-1024 row lost its queue_pops or events column"; exit 1; }
+[ $((10 * train_pops)) -lt "$train_events" ] \
+    || { echo "ci.sh: $train_pops queue pops for $train_events events on scale-stress-1024: want under a tenth, NIC trains are off"; exit 1; }
+
 echo "==> fault injection (a faulted smoke point must visibly degrade, gracefully)"
 # The watchdog flag rides along so the guarded-runner path is the one
 # CI exercises; 600 s is a liveness bound, not a measurement.

@@ -408,22 +408,56 @@ impl Staged {
         self.left.min(self.seg as u64) as u32
     }
 
-    /// Cuts the next packet off the front; the entry is spent once
-    /// `left` reaches zero.
-    fn cut(&mut self) -> Packet {
-        let bytes = self.front_bytes();
-        let pkt = Packet::new(
+    /// The run's traffic class.
+    pub(crate) fn class(&self) -> TrafficClass {
+        self.class
+    }
+
+    /// How many packets at the front share the next packet's size: the
+    /// run's full segments, or 1 when only a short tail (or one empty
+    /// packet) is left.
+    pub(crate) fn same_size_len(&self) -> u64 {
+        match self.left.checked_div(self.seg as u64) {
+            Some(full) if full > 0 => full,
+            _ => 1,
+        }
+    }
+
+    /// The next packet, not yet cut.
+    pub(crate) fn front_packet(&self) -> Packet {
+        Packet::new(
             self.flow,
             self.src,
             self.dst,
-            bytes,
+            self.front_bytes(),
             self.class,
             self.created,
             self.seq,
-        );
-        self.left -= bytes as u64;
+        )
+    }
+
+    /// Cuts the next packet off the front; the entry is spent once
+    /// `left` reaches zero.
+    fn cut(&mut self) -> Packet {
+        let pkt = self.front_packet();
+        self.left -= pkt.bytes as u64;
         self.seq = self.seq.wrapping_add(1);
         pkt
+    }
+
+    /// Cuts the next `k` packets off the front as one run, `k` at most
+    /// [`same_size_len`](Self::same_size_len): cutting the returned run
+    /// yields those packets, and its own `same_size_len` is `k`.
+    fn cut_n(&mut self, k: u64) -> Staged {
+        debug_assert!((1..=self.same_size_len()).contains(&k), "cut of {k}");
+        let bytes = k * self.front_bytes() as u64;
+        let run = Staged {
+            left: bytes,
+            ..*self
+        };
+        self.left -= bytes;
+        self.seq = self.seq.wrapping_add(k as u32);
+        run
     }
 
     /// Appends `p` to the back of the run when it continues it: same
@@ -448,6 +482,37 @@ impl Staged {
         }
         continues
     }
+
+    /// Appends `run` — packets of one size, as [`cut_n`](Self::cut_n)
+    /// cuts them — to the back of this run when its first packet
+    /// continues it ([`append`](Self::append)), as one `append` per packet
+    /// would. The rest then continue it too: a run of several packets is
+    /// full segments of one flow, and a run of that flow that they
+    /// continue was opened by a full segment, so the segments match.
+    /// Returns whether `run` was appended.
+    pub(crate) fn append_run(&mut self, run: &Staged) -> bool {
+        let first = run.front_packet();
+        if !self.append(&first) {
+            return false;
+        }
+        let rest = run.left - first.bytes as u64;
+        debug_assert!(
+            rest == 0 || first.bytes == self.seg,
+            "only full segments continue a run"
+        );
+        self.left += rest;
+        true
+    }
+
+    /// The run a VOQ opens for `run`'s packets (of one size): the run of
+    /// its first packet ([`of_packet`](Self::of_packet)) with the rest
+    /// appended, each continuing the last.
+    pub(crate) fn opened(self) -> Staged {
+        Staged {
+            seg: self.front_bytes(),
+            ..self
+        }
+    }
 }
 
 impl Pool<Staged> {
@@ -461,6 +526,21 @@ impl Pool<Staged> {
             self.pop(q);
         }
         Some(pkt)
+    }
+
+    /// Cuts the next `k` packets off the front run of `q` as one run —
+    /// `k` at most that run's [`Staged::same_size_len`], so they share a
+    /// size — popping the run when its last byte leaves. Equals `k`
+    /// calls of [`cut_front`](Self::cut_front), whose packets the
+    /// returned run cuts into.
+    #[inline]
+    pub(crate) fn cut_front_n(&mut self, q: &mut Fifo, k: u64) -> Option<Staged> {
+        let front = self.front_mut(q)?;
+        let run = front.cut_n(k);
+        if front.left == 0 {
+            self.pop(q);
+        }
+        Some(run)
     }
 
     /// Cuts packets off the front of `q` while `accept` takes the next

@@ -205,6 +205,39 @@ impl ProcessingLogic {
         Ok(())
     }
 
+    /// Admits the packets of `run` — packets of one size, as a host's NIC
+    /// sends them back to back ([`Pool::cut_front_n`]) — exactly as one
+    /// [`enqueue`](Self::enqueue) each would: the prefix that fits
+    /// `voq_capacity` joins the VOQ's tail run where it continues it (or
+    /// opens one run), and the rest is rejected. Returns how many packets
+    /// were admitted; the caller counts the others as drops. A run that
+    /// admits nothing makes no record.
+    pub(crate) fn enqueue_run(&mut self, mut run: Staged) -> u64 {
+        let (src, dst) = (run.src.index(), run.dst.index());
+        let found = self.slot(self.key(src, dst), src);
+        let queued = found.map_or(0, |s| self.pairs[s].queued);
+        let (k, bytes) = (run.same_size_len(), run.front_bytes() as u64);
+        // The packets fit one after another until one would overflow;
+        // every later one is as large, so it overflows too.
+        let fit = match self.voq_capacity.checked_sub(queued) {
+            None => 0,
+            Some(_) if bytes == 0 => k,
+            Some(room) => k.min(room / bytes),
+        };
+        if fit == 0 {
+            return 0;
+        }
+        run.left = fit * bytes;
+        let (pool, fifo) = self.book(src, dst, found, fit * bytes);
+        if !pool
+            .back_mut(fifo)
+            .is_some_and(|tail| tail.append_run(&run))
+        {
+            pool.push(fifo, run.opened());
+        }
+        fit
+    }
+
     /// Queues a whole run — a flow or gated app send a host holds for a
     /// grant — on its pair's VOQ as one entry, with no capacity check:
     /// host memory is unbounded, so `voq_capacity` bounds switch VOQs
@@ -711,10 +744,26 @@ mod tests {
         ][rng.below_usize(3)]
     }
 
+    /// A pool's conservation ledger: `(allocs, frees, live peak, chunk
+    /// growths, live)`.
+    fn ledger(pool: &Pool<Staged>) -> (u64, u64, u64, u64, u64) {
+        (
+            pool.alloc_count(),
+            pool.free_count(),
+            pool.live_peak(),
+            pool.chunk_growth_count(),
+            pool.live(),
+        )
+    }
+
     /// Drives `banks` banks, each fed the packets and grants of the
     /// scattered source rows a random assignment gives it, and one
     /// reference with one random stream of `steps` batches, and fails on
-    /// the first disagreement.
+    /// the first disagreement. A *train* moves `k` same-size packets of a
+    /// flow at once (`cut_front_n`, then `enqueue_run`); a twin set of
+    /// banks and host pool takes each train as `k` single cuts and
+    /// enqueues, and must agree with the train side on every later
+    /// grant, admission, drop, record, request and pool ledger.
     fn run_differential(
         seed: u64,
         banks: usize,
@@ -727,21 +776,27 @@ mod tests {
         let rows: Vec<Vec<usize>> = (0..banks)
             .map(|b| PORTS.into_iter().filter(|&p| bank_of(p) == b).collect())
             .collect();
-        let mut bank: Vec<ProcessingLogic> = (0..banks)
-            .map(|_| ProcessingLogic::new(FABRIC, capacity))
-            .collect();
+        let new_banks = || -> Vec<ProcessingLogic> {
+            (0..banks)
+                .map(|_| ProcessingLogic::new(FABRIC, capacity))
+                .collect()
+        };
+        let (mut bank, mut twin) = (new_banks(), new_banks());
         let mut reference = Reference {
             capacity,
             pairs: BTreeMap::new(),
         };
         // Reused across batches, as the runtime reuses its ground truth.
         let mut occ = DemandMatrix::zero(FABRIC);
-        let mut pool = Pool::new();
-        // Flows being cut, each its own one-entry queue.
-        let mut flows: Vec<Fifo> = Vec::new();
+        // Flows being cut, each a one-entry queue in the train side's host
+        // pool and one in the twin's; app sends and pushed runs are cut
+        // from a third.
+        let (mut pool, mut twin_pool, mut scratch) = (Pool::new(), Pool::new(), Pool::new());
+        let mut flows: Vec<(Fifo, Fifo)> = Vec::new();
         let mut next_flow = 0u64;
         let mut now = 0u64;
-        let (mut granted, mut reqs) = (Vec::new(), Vec::new());
+        let (mut granted, mut twin_granted, mut reqs, mut twin_reqs) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for step in 0..steps {
             now += rng.below(100);
             let at = SimTime::from_nanos(now);
@@ -753,13 +808,12 @@ mod tests {
             };
             for _ in 0..rng.range_u64(1, 9) {
                 let mut offered = None;
-                match rng.below(11) {
-                    // A new flow, cut later packet by packet, interleaved
-                    // with every other flow in flight.
+                match rng.below(12) {
+                    // A new flow, cut later packet by packet or train by
+                    // train, interleaved with every other flow in flight.
                     0 | 1 => {
                         let (s, d) = pair(&mut rng);
                         next_flow += 1;
-                        let mut q = Fifo::new();
                         let entry = Staged::new(
                             next_flow,
                             PortNo::from(s),
@@ -769,8 +823,10 @@ mod tests {
                             at,
                             MTU,
                         );
+                        let (mut q, mut tq) = (Fifo::new(), Fifo::new());
                         pool.push(&mut q, entry);
-                        flows.push(q);
+                        twin_pool.push(&mut tq, entry);
+                        flows.push((q, tq));
                     }
                     // An app-style send: one packet reusing (flow, seq 0).
                     2 => {
@@ -786,16 +842,54 @@ mod tests {
                             at,
                             bytes,
                         );
-                        pool.push(&mut q, send);
-                        offered = pool.cut_front(&mut q);
+                        scratch.push(&mut q, send);
+                        offered = scratch.cut_front(&mut q);
                     }
                     // The next packet of a flow in flight.
-                    3..=7 => {
+                    3..=6 => {
                         if !flows.is_empty() {
                             let k = rng.below_usize(flows.len());
-                            offered = pool.cut_front(&mut flows[k]);
-                            if flows[k].is_empty() {
+                            let (q, tq) = &mut flows[k];
+                            offered = pool.cut_front(q);
+                            prop_assert_eq!(offered, twin_pool.cut_front(tq));
+                            if q.is_empty() {
                                 flows.swap_remove(k);
+                            }
+                        }
+                    }
+                    // A train: the next k same-size packets of a flow in
+                    // flight — all its full segments left, or fewer, or
+                    // its short tail — against k cuts and enqueues.
+                    7 | 8 => {
+                        if !flows.is_empty() {
+                            let f = rng.below_usize(flows.len());
+                            let (q, tq) = &mut flows[f];
+                            let same = pool.front(q).expect("in flight").same_size_len();
+                            let k = if rng.below(2) == 0 {
+                                same
+                            } else {
+                                rng.range_u64(1, same + 1)
+                            };
+                            let run = pool.cut_front_n(q, k).expect("in flight");
+                            let src = run.src.index();
+                            let admitted = bank[bank_of(src)].enqueue_run(run);
+                            let mut want = 0;
+                            for _ in 0..k {
+                                let p = twin_pool.cut_front(tq).expect("in flight");
+                                let got = twin[bank_of(src)].enqueue(p);
+                                prop_assert_eq!(
+                                    got,
+                                    reference.enqueue(p),
+                                    "step {}: {:?}",
+                                    step,
+                                    p
+                                );
+                                want += u64::from(got.is_ok());
+                            }
+                            prop_assert_eq!(admitted, want, "step {}: train of {}", step, k);
+                            prop_assert_eq!(q.is_empty(), tq.is_empty());
+                            if q.is_empty() {
+                                flows.swap_remove(f);
                             }
                         }
                     }
@@ -815,9 +909,10 @@ mod tests {
                             MTU,
                         );
                         let mut q = Fifo::new();
-                        pool.push(&mut q, run);
-                        reference.push_run(std::iter::from_fn(|| pool.cut_front(&mut q)));
+                        scratch.push(&mut q, run);
+                        reference.push_run(std::iter::from_fn(|| scratch.cut_front(&mut q)));
                         bank[bank_of(s)].push_run(run);
+                        twin[bank_of(s)].push_run(run);
                     }
                     // A grant with a budget that may split a run, drain a
                     // pair (which later flows refill) or hit a pair that
@@ -826,7 +921,9 @@ mod tests {
                         let (s, d) = pair(&mut rng);
                         let b = budget(&mut rng);
                         granted.clear();
+                        twin_granted.clear();
                         bank[bank_of(s)].grant_into(s, d, byte_budget(b), &mut granted);
+                        twin[bank_of(s)].grant_into(s, d, byte_budget(b), &mut twin_granted);
                         let want = reference.grant(s, d, b);
                         prop_assert_eq!(
                             &granted,
@@ -837,12 +934,14 @@ mod tests {
                             d,
                             b
                         );
+                        prop_assert_eq!(&twin_granted, &want, "step {}: twin grant", step);
                     }
                 }
                 if let Some(p) = offered {
                     // A VOQ-full drop leaves a seq gap in its flow.
                     let got = bank[bank_of(p.src.index())].enqueue(p);
                     prop_assert_eq!(got, reference.enqueue(p), "step {}: enqueue {:?}", step, p);
+                    prop_assert_eq!(got, twin[bank_of(p.src.index())].enqueue(p));
                 }
             }
             for (b, bk) in bank.iter().enumerate() {
@@ -865,7 +964,13 @@ mod tests {
                 "step {}: records",
                 step
             );
-            for (b, bk) in bank.iter_mut().enumerate() {
+            prop_assert_eq!(
+                ledger(&pool),
+                ledger(&twin_pool),
+                "step {}: host pools",
+                step
+            );
+            for (b, (bk, tw)) in bank.iter_mut().zip(&mut twin).enumerate() {
                 reqs.clear();
                 bk.take_requests_into(at, &mut reqs);
                 prop_assert_eq!(
@@ -875,6 +980,23 @@ mod tests {
                     step,
                     b
                 );
+                twin_reqs.clear();
+                tw.take_requests_into(at, &mut twin_reqs);
+                prop_assert_eq!(&twin_reqs, &reqs, "step {}: twin {} requests", step, b);
+                prop_assert_eq!(
+                    bk.pair_count(),
+                    tw.pair_count(),
+                    "step {}: twin records",
+                    step
+                );
+                prop_assert_eq!(
+                    bk.pool_ledger(),
+                    tw.pool_ledger(),
+                    "step {}: bank {} pool vs its twin",
+                    step,
+                    b
+                );
+                prop_assert_eq!(bk.pool_occupancy(), tw.pool_occupancy());
                 bk.occupancy_into(&mut occ);
                 bk.check_pool_conserved()?;
             }
@@ -894,8 +1016,10 @@ mod tests {
         /// The run banks hand out exactly the packets a per-pair packet
         /// FIFO would: same packets, all fields, same order, same
         /// admission, requests, byte counts, records and occupancy, with
-        /// hosts' whole runs pushed among the admitted packets and the
-        /// fabric's source rows split over one to three banks.
+        /// hosts' whole runs pushed among the admitted packets, trains of
+        /// same-size packets admitted at once as their packets one by one
+        /// would be, and the fabric's source rows split over one to three
+        /// banks.
         #[test]
         fn run_bank_matches_a_packet_fifo_per_pair(
             seed in any::<u64>(),

@@ -42,7 +42,11 @@ pub struct RunReport {
     pub placement: String,
     /// Measured horizon.
     pub horizon: SimDuration,
-    /// Events processed.
+    /// Events the model processed: coordinator and shard events popped
+    /// from the event queues, plus the ones a NIC train handles without a
+    /// queue event — a host's back-to-back departures and its gated
+    /// packets' switch arrivals. The same for every shard count and
+    /// profile; `CounterSet::queue_pops` counts the popped ones alone.
     pub events: u64,
 
     /// Bytes offered by the workload (flow sizes + app packets).

@@ -133,17 +133,16 @@ impl Host {
         }
     }
 
-    /// The NIC's next packet: cut off the first non-empty staging queue
-    /// in strict priority order.
-    fn pop_staged(&mut self, pool: &mut Pool<Staged>) -> Option<Packet> {
-        let q = if !self.q_inter.is_empty() {
+    /// The staging queue the NIC sends from next: the first non-empty one
+    /// in strict priority order (the bulk queue when all are empty).
+    fn next_queue(&mut self) -> &mut Fifo {
+        if !self.q_inter.is_empty() {
             &mut self.q_inter
         } else if !self.q_short.is_empty() {
             &mut self.q_short
         } else {
             &mut self.q_bulk
-        };
-        pool.cut_front(q)
+        }
     }
 
     /// The actual (switch-clock) instant at which this host's clock reads
@@ -840,13 +839,13 @@ mod tests {
             }
             // Interleave sends with staging.
             for _ in 0..3 {
-                assert_eq!(host.pop_staged(&mut pool), pop_want(&mut want));
+                assert_eq!(pool.cut_front(host.next_queue()), pop_want(&mut want));
             }
         }
         while let Some(p) = pop_want(&mut want) {
-            assert_eq!(host.pop_staged(&mut pool), Some(p));
+            assert_eq!(pool.cut_front(host.next_queue()), Some(p));
         }
-        assert_eq!(host.pop_staged(&mut pool), None);
+        assert_eq!(pool.cut_front(host.next_queue()), None);
         assert_eq!(pool.live(), 0, "every spent entry was popped");
         pool.check_conserved().expect("host pool conserves");
     }
@@ -1768,6 +1767,216 @@ mod tests {
         let kn = mk(n);
         assert_eq!(kn.counters.voq_pairs, pairs, "K = {n}");
         assert_shard_equiv(&k1, &kn, "multi-ring k=64");
+    }
+
+    /// An estimator that logs every request the banks report and
+    /// estimates nothing.
+    struct RequestLog {
+        n: usize,
+        log: std::sync::Arc<std::sync::Mutex<Vec<SchedRequest>>>,
+    }
+
+    impl DemandEstimator for RequestLog {
+        fn name(&self) -> &'static str {
+            "request-log"
+        }
+
+        fn on_request(&mut self, req: &SchedRequest) {
+            self.log.lock().expect("no test thread panicked").push(*req);
+        }
+
+        fn estimate(&mut self, _now: SimTime, _epoch: SimDuration) -> DemandMatrix {
+            DemandMatrix::zero(self.n)
+        }
+    }
+
+    /// Runs `mk` at one shard and at one shard per port, logging the
+    /// requests; asserts that both runs report the same requests and
+    /// events, and returns the one-shard run with its requests.
+    fn run_logged(
+        mk: impl Fn() -> SimBuilder,
+        n: usize,
+        ms: u64,
+    ) -> (RunReport, Vec<SchedRequest>) {
+        let run = |k| {
+            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let report = mk()
+                .estimator(Box::new(RequestLog {
+                    n,
+                    log: log.clone(),
+                }))
+                .shards(k)
+                .build()
+                .expect("builds")
+                .run(SimTime::from_millis(ms));
+            let reqs = std::mem::take(&mut *log.lock().expect("no test thread panicked"));
+            (report, reqs)
+        };
+        let (k1, reqs) = run(1);
+        let (kn, reqs_kn) = run(n);
+        assert_eq!(reqs, reqs_kn, "K = {n} requests");
+        assert_shard_equiv(&k1, &kn, "K = n");
+        assert!(
+            kn.counters.queue_pops < kn.events,
+            "trains take events at K = n: {} pops of {}",
+            kn.counters.queue_pops,
+            kn.events
+        );
+        (k1, reqs)
+    }
+
+    /// The requests each epoch must see on pair `(src, dst)` when its
+    /// packets, `(departure, switch arrival, bytes)`, are admitted and
+    /// never granted: a packet is admitted before the epoch at `T` iff it
+    /// arrives before `T`, or at `T` having departed before the epoch was
+    /// scheduled (one epoch earlier; the first at 0). A pair reports
+    /// whenever its occupancy changed since the last epoch.
+    fn expected_requests(
+        pair: (usize, usize),
+        packets: &[(u64, u64, u64)],
+        epoch: u64,
+        horizon: u64,
+    ) -> Vec<SchedRequest> {
+        let mut out = Vec::new();
+        let mut last = 0;
+        for t in (0..=horizon).step_by(epoch as usize) {
+            let stamp = t.saturating_sub(epoch);
+            let queued = packets
+                .iter()
+                .filter(|&&(d, a, _)| a < t || (a == t && d < stamp))
+                .map(|&(_, _, b)| b)
+                .sum();
+            if queued != last {
+                out.push(SchedRequest {
+                    src: pair.0,
+                    dst: pair.1,
+                    queued_bytes: queued,
+                    arrived_bytes_total: queued,
+                    at: SimTime::from_nanos(t),
+                });
+                last = queued;
+            }
+        }
+        out
+    }
+
+    /// Gated packets land in their VOQ without an event of their own: in
+    /// the window their switch arrival falls in, or from the host's wire
+    /// in the window that covers it. Long host links put epoch boundaries
+    /// (every 19.2 µs) between packets' departure and arrival, at one
+    /// shard and at one shard per port. The epoch sees a packet that
+    /// arrives on its very nanosecond iff the packet departed before the
+    /// epoch was scheduled, and its requests carry exactly the bytes
+    /// admitted.
+    #[test]
+    fn gated_packets_land_by_the_window_that_covers_their_arrival() {
+        let n = 4;
+        let horizon = 3_000_000;
+        let cfg_with = |prop| {
+            let mut cfg = hw_cfg(n);
+            cfg.host_link.propagation = SimDuration::from_nanos(prop);
+            // App packets are gated, so they go to the VOQs.
+            cfg.voip_on_ocs = true;
+            cfg
+        };
+        let cfg = cfg_with(0);
+        let epoch = cfg.epoch.as_nanos();
+        assert_eq!(epoch, 19_200);
+        let tx = |bytes: u64| cfg.host_link.rate.tx_time(bytes).as_nanos();
+
+        // Apps on an idle NIC send at start + j·interval and arrive tx +
+        // prop later, both on every other epoch's nanosecond. App 0's
+        // 1500 B packets (19.7 µs in flight) left before that epoch was
+        // scheduled: they land from the wire ahead of it. App 1's 200 B
+        // packets (18.66 µs) left after, in the window the epoch ends:
+        // they wait on the wire behind it.
+        let prop = 18_500;
+        let apps = [(0, 1, 1500, 18_700), (2, 3, 200, 19_740)];
+        let mk_apps = || {
+            let apps = apps
+                .iter()
+                .enumerate()
+                .map(|(id, &(s, d, bytes, start))| CbrApp {
+                    id: id as u64,
+                    src: PortNo(s),
+                    dst: PortNo(d),
+                    pkt_bytes: bytes,
+                    interval: SimDuration::from_nanos(2 * epoch),
+                    start: SimTime::from_nanos(start),
+                    send_jitter: SimDuration::ZERO,
+                })
+                .collect();
+            SimBuilder::new(cfg_with(prop))
+                .workload(Workload::apps_only(apps))
+                .scheduler(Box::new(EpsOnlyScheduler::new()))
+        };
+        let (report, reqs) = run_logged(mk_apps, n, 3);
+        let mut events = (0..=horizon).step_by(epoch as usize).count() as u64;
+        for &(s, d, bytes, start) in &apps {
+            let packets: Vec<_> = (start..=horizon)
+                .step_by(2 * epoch as usize)
+                .map(|dep| (dep, dep + tx(bytes as u64) + prop, bytes as u64))
+                .collect();
+            let want = expected_requests((s as usize, d as usize), &packets, epoch, horizon);
+            assert!(want.len() > 40, "the apps keep landing");
+            let got: Vec<_> = reqs
+                .iter()
+                .filter(|r| r.src == s as usize)
+                .copied()
+                .collect();
+            assert_eq!(got, want, "app {s} -> {d}");
+            // Each send is its app event, the departure, the NIC's idle
+            // check one packet later and the switch arrival.
+            for &(dep, arrival, _) in &packets {
+                events += 2
+                    + u64::from(dep + tx(bytes as u64) <= horizon)
+                    + u64::from(arrival <= horizon);
+            }
+        }
+        assert_eq!(report.events, events, "model events");
+
+        // Bulk flows on one pair, 11.2 µs in flight: a packet sent in a
+        // window's last 11.2 µs crosses its end on the wire (about nine
+        // at a time), the rest land in the window that sent them. Each
+        // flow lands as one VOQ run: a packet overtaking its host's wire
+        // would split it.
+        let prop = 10_000;
+        let mut w = vec![0.0; n * n];
+        w[3 * n] = 1.0;
+        let gen = FlowGenerator::with_load(
+            TrafficMatrix::from_weights(n, w).expect("one cell"),
+            FlowSizeDist::Fixed(150_000),
+            0.2,
+            BitRate::GBPS_10,
+            SimRng::new(9),
+        );
+        let flow_stop = SimTime::from_millis(2);
+        let mk_flows = || {
+            SimBuilder::new(cfg_with(prop))
+                .workload(Workload::flows(gen.clone()).with_flow_stop(flow_stop))
+                .scheduler(Box::new(EpsOnlyScheduler::new()))
+        };
+        let (report, reqs) = run_logged(mk_flows, n, 3);
+        // The host sends its flows back to back, one MTU a packet.
+        let (mut packets, mut free, mut landed) = (Vec::new(), 0, 0);
+        let flows = gen.clone().flows_until(flow_stop);
+        for f in &flows {
+            let mut dep = free.max(f.start.as_nanos());
+            landed += u64::from(dep + tx(1500) + prop <= horizon);
+            for _ in 0..f.bytes / 1500 {
+                packets.push((dep, dep + tx(1500) + prop, 1500));
+                dep += tx(1500);
+            }
+            free = dep;
+        }
+        assert_eq!(report.offered_flows, flows.len() as u64);
+        assert!(flows.len() > 3, "several flows");
+        assert_eq!(reqs, expected_requests((3, 0), &packets, epoch, horizon));
+        assert_eq!(
+            report.counters.pool_allocs,
+            report.offered_flows + landed,
+            "one host entry and one VOQ run per flow"
+        );
     }
 
     /// Slow mode with clock skew comparable to the dark window: slot

@@ -25,29 +25,41 @@
 //!      coordinator event's own stamp; same-instant events within a
 //!      shard replay in stamp order. That is precisely the pop order of
 //!      one global queue (insertion sequence) whenever scheduling times
-//!      differ — e.g. a `SwitchIn` landing on the very nanosecond a slot
-//!      activates runs first iff its NIC scheduled it before the slot
-//!      was configured. Events tied on *both* fire and scheduling time
-//!      keep coordinator-first / insertion order — still deterministic,
-//!      and reachable only if one handler schedules a shard event and a
-//!      coordinator event for the same future instant (today that needs
-//!      the control one-way delay to exactly equal the OCS
-//!      reconfiguration delay).
+//!      differ — e.g. a packet reaching the switch on the very nanosecond
+//!      a slot activates is admitted first iff its NIC sent it before the
+//!      slot was configured. A window is a pop loop plus *trains*: a NIC
+//!      pump takes its host's next departure in the same call only when
+//!      that departure is the event its shard would pop next, so the
+//!      handling order is the pop order. A gated packet's switch arrival
+//!      (under hardware placement) takes no queue event at all: it lands
+//!      in the VOQ inside the window that covers it, taken from the
+//!      host's wire when an earlier window sent the packet. Nothing reads a
+//!      VOQ inside a window and a pair's VOQ takes only its source's
+//!      packets, so the bank at every barrier is the one the arrival
+//!      events would have built. Events tied on *both* fire and
+//!      scheduling time keep coordinator-first / insertion order — still
+//!      deterministic, and reachable only if one handler schedules a
+//!      shard event and a coordinator event for the same future instant
+//!      (today that needs the control one-way delay to exactly equal the
+//!      OCS reconfiguration delay).
 //!   2. *Shared-state effects are shipped, not applied.* Anything a shard-local
 //!      event would do to shared state — an EPS arrival, a slow-mode
 //!      circuit arrival, a drop, a buffer-tracker op — is buffered as a
 //!      `(time, shard, seq)`-stamped item and replayed in that canonical
 //!      order at the barrier. OCS and EPS state only changes at
-//!      coordinator events, so deferred replay is exact.
+//!      coordinator events, so deferred replay is exact. A landing ships
+//!      at its arrival time, ahead of events that come before it, so a
+//!      log that leaves time order goes through the merge even at K = 1.
 //!   3. *Requests merge in global `(src, dst)` order* — the same order a
 //!      full-fabric row-major scan produces — so the estimator, the
 //!      scheduler and the decision-latency RNG consume identical inputs.
 //!
 //! Counters whose value reflects *structure* rather than behavior —
 //! the coordinator's and the shards' ladder-queue and pool ledgers
-//! (`queue_*`, `pool_*`) — are merged across shards with
-//! [`CounterSet::merge`] semantics (sums for tallies, max for peaks) and
-//! are deterministic per `(K, seed)` but legitimately K-dependent.
+//! (`queue_*`, `pool_*`; `queue_pops` too, since how far a train runs
+//! depends on which events share its queue) — are merged across shards
+//! with [`CounterSet::merge`] semantics (sums for tallies, max for peaks)
+//! and are deterministic per `(K, seed)` but legitimately K-dependent.
 //!
 //! # Execution
 //!
@@ -58,7 +70,7 @@
 //! each shard's window drains its events back-to-back against a private
 //! pool and VOQ bank, instead of interleaving every port's state through
 //! one global time order. K = 1 always runs inline and replays its ship
-//! log in place: one shard's log is already in canonical order.
+//! log in place when it is in time order.
 
 use super::*;
 
@@ -192,9 +204,11 @@ pub enum ShardExec {
 enum SEv {
     /// A pre-generated flow arrives at its (shard-owned) source host.
     Inject { flow: FlowSpec },
-    /// Host NIC pump: serialize the next staged packet toward the switch.
+    /// Host NIC pump: serialize the next staged packet toward the switch
+    /// (and the train behind it, see `Shard::pump`).
     Pump { li: usize },
-    /// A packet's last bit arrives at the switch ingress.
+    /// An EPS-bound packet's last bit arrives at the switch ingress
+    /// (gated packets land in their VOQ without an event).
     SwitchIn { pkt: Packet },
     /// (Slow mode) A grant for `(src, dst)` reaches host `src`: transmit
     /// into the window as the host's skewed clock sees it.
@@ -220,7 +234,11 @@ enum ShipKind {
     Eps(Packet),
     /// Slow-mode bulk packet arrived expecting a live circuit.
     OcsArrival(Packet),
-    Drop(DropCause),
+    /// `packets` packets dropped for `cause`.
+    Drop {
+        cause: DropCause,
+        packets: u64,
+    },
     BufEnqueue {
         site: Site,
         bytes: u64,
@@ -237,6 +255,49 @@ enum ShipKind {
 struct Ship {
     t: SimTime,
     kind: ShipKind,
+}
+
+/// The bound of one shard window: the next coordinator event's `(time,
+/// stamp)` (`None` once no coordinator event is left) and the horizon.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    limit: Option<(SimTime, SimTime)>,
+    horizon: SimTime,
+}
+
+impl Window {
+    /// Whether an event at `t` stamped `stamp` runs in this window: at or
+    /// before the horizon, and before the coordinator event — at its very
+    /// instant only when scheduled before it was.
+    fn admits(&self, t: SimTime, stamp: SimTime) -> bool {
+        t <= self.horizon
+            && self
+                .limit
+                .is_none_or(|(lt, ls)| t < lt || (t == lt && stamp < ls))
+    }
+
+    /// The last instant at which an event runs in this window whatever
+    /// its stamp.
+    fn surely_by(&self) -> Option<SimTime> {
+        match self.limit {
+            Some((lt, _)) => lt
+                .as_nanos()
+                .checked_sub(1)
+                .map(|t| SimTime::from_nanos(t).min(self.horizon)),
+            None => Some(self.horizon),
+        }
+    }
+}
+
+/// A gated packet on its host's wire: sent at `sent`, reaching the switch
+/// at `at`, after the window that sent it ended. It lands in its VOQ at the
+/// start of the window that covers `at`.
+#[derive(Debug, Clone, Copy)]
+struct Wire {
+    at: SimTime,
+    sent: SimTime,
+    /// The packet, as a run of one.
+    run: Staged,
 }
 
 /// One port group: its hosts, host pool, VOQ bank and event queue.
@@ -269,8 +330,19 @@ struct Shard<'m> {
     prop: SimDuration,
     /// The coordinator's observation flag: gates buffer-tracker ships.
     observed: bool,
+    /// The running window's bound.
+    window: Window,
+    /// Gated packets still in flight to the switch when the window that
+    /// sent them ended, in departure order.
+    wire: Vec<Wire>,
     // Accounting.
+    /// Events popped from the queue.
     pops: u64,
+    /// Events handled without a queue event: the departures a train takes
+    /// and every gated packet's switch arrival.
+    trained: u64,
+    /// The latest instant of any event handled.
+    clock: SimTime,
     ship: Vec<Ship>,
 }
 
@@ -305,34 +377,179 @@ impl Shard<'_> {
         }
     }
 
-    /// Whether any queued event may fall inside the window bounded by
-    /// `limit = (T_next, sched_coord)` (capped by the horizon). Events
-    /// at exactly `T_next` are a *maybe* — only their scheduling stamps
-    /// (inspected by `run_window`) decide — so this errs on "busy".
-    fn has_work(&self, limit: Option<(SimTime, SimTime)>, horizon: SimTime) -> bool {
-        match self.queue.peek_time() {
-            None => false,
-            Some(t) => t <= horizon && limit.is_none_or(|(lt, _)| t <= lt),
-        }
+    /// Whether the window may have work here: a queued event that may
+    /// fall inside it, or a packet on a wire. Events at exactly `T_next`
+    /// are a *maybe* — only their scheduling stamps (inspected by
+    /// `run_window`) decide — so this errs on "busy".
+    fn has_work(&self, w: Window) -> bool {
+        !self.wire.is_empty()
+            || self
+                .queue
+                .peek_time()
+                .is_some_and(|t| t <= w.horizon && w.limit.is_none_or(|(lt, _)| t <= lt))
     }
 
-    /// Drains shard-local events with `t < T_next` — plus events at
+    /// Lands the wire's packets that reach the switch inside the window,
+    /// then drains shard-local events with `t < T_next` — plus events at
     /// exactly `T_next` scheduled before the coordinator event was —
     /// capped by the horizon. The queue pops same-instant events in stamp
     /// order, so the first event at `T_next` stamped at or after the
     /// coordinator event ends the window, and everything behind it waits.
-    fn run_window(&mut self, limit: Option<(SimTime, SimTime)>, horizon: SimTime) {
+    /// NIC pumps run trains inside it (see [`pump`](Self::pump)).
+    fn run_window(&mut self, w: Window) {
+        self.window = w;
+        self.land_wire();
         while let Some((t, stamp)) = self.queue.peek_key() {
-            let due = match limit {
-                Some((lt, ls)) => t < lt || (t == lt && stamp < ls),
-                None => true,
-            };
-            if t > horizon || !due {
+            if !w.admits(t, stamp) {
                 return;
             }
             let (_, ev) = self.queue.pop().expect("peeked");
             self.pops += 1;
+            self.clock = self.clock.max(t);
             self.handle(t, ev);
+        }
+    }
+
+    /// Lands every packet on the wire that reaches the switch inside the
+    /// window. The wire is in departure order and a host's arrivals keep
+    /// that order, so each host's packets land in order, and before any
+    /// packet the host sends in this window.
+    fn land_wire(&mut self) {
+        if self.wire.is_empty() {
+            return;
+        }
+        let mut wire = std::mem::take(&mut self.wire);
+        wire.retain(|w| {
+            let due = self.window.admits(w.at, w.sent);
+            if due {
+                self.land(w.run, w.at, SimDuration::ZERO);
+            }
+            !due
+        });
+        self.wire = wire;
+    }
+
+    /// Lands `run` — gated packets of one size, reaching the switch `tx`
+    /// apart from `first_at` — in its source's VOQ, as one `SwitchIn`
+    /// event each would: the packets that fit are admitted, the rest are
+    /// `VoqFull` drops. Nothing reads a VOQ inside a window, and a pair's
+    /// VOQ takes only its source's packets, in order, so landing them
+    /// ahead of their arrival leaves the bank as the barrier would have
+    /// found it; the shipped effects carry their arrival times.
+    fn land(&mut self, run: Staged, first_at: SimTime, tx: SimDuration) {
+        let k = run.same_size_len();
+        let bytes = run.front_bytes() as u64;
+        let fit = self.proc.enqueue_run(run);
+        self.trained += k;
+        self.clock = self.clock.max(first_at + tx * (k - 1));
+        if self.observed {
+            for i in 0..fit {
+                let site = Site::Switch;
+                self.ship(first_at + tx * i, ShipKind::BufEnqueue { site, bytes });
+            }
+        }
+        if fit < k {
+            let (cause, packets) = (DropCause::VoqFull, k - fit);
+            self.ship(first_at + tx * fit, ShipKind::Drop { cause, packets });
+        }
+    }
+
+    /// How many packets of `same` that leave back to back, `tx` apart
+    /// from `now`, one train step may take: each departure after the
+    /// first before the queue head's time, and each switch arrival before
+    /// the window's last sure instant. Edges, where stamps decide, are
+    /// left to steps of one.
+    fn train_len(&self, now: SimTime, tx: SimDuration, same: u64) -> u64 {
+        let tx = tx.as_nanos();
+        if same == 1 || tx == 0 {
+            return 1;
+        }
+        // The last arrival, now + k·tx + prop, comes by the window's end.
+        let Some(room) = self
+            .window
+            .surely_by()
+            .and_then(|end| end.checked_since(now + self.prop))
+        else {
+            return 1;
+        };
+        let mut k = same.min(room.as_nanos() / tx);
+        // The last departure, now + (k − 1)·tx, comes before the head.
+        if let Some((head, _)) = self.queue.peek_key() {
+            let gap = head.saturating_since(now).as_nanos();
+            k = k.min(gap.saturating_sub(1) / tx + 1);
+        }
+        k.max(1)
+    }
+
+    /// Host `li`'s NIC at `now`: sends the next staged packet, then runs a
+    /// *train* — it takes the host's next departure in the same call
+    /// whenever that departure is the next event this shard would pop
+    /// (inside the window, and ahead of the queue head's `(time, stamp)`),
+    /// so the order of events handled is the pop order exactly. A step
+    /// moves `k` same-size gated packets at once (`k` = 1 at the edges).
+    /// Gated packets never become events: they land in their VOQ when they
+    /// reach the switch inside the window, or wait on the wire until the
+    /// window that covers their arrival. Everything the train schedules is
+    /// stamped with the train's own clock, which the queue's lags.
+    fn pump(&mut self, mut now: SimTime, li: usize) {
+        loop {
+            let h = &mut self.hosts[li];
+            if now < h.nic_busy_until {
+                // A grant burst claimed the NIC; come back when free.
+                let at = h.nic_busy_until;
+                self.queue.schedule_stamped(at, now, SEv::Pump { li });
+                return;
+            }
+            let Some(front) = self.pool.front(h.next_queue()) else {
+                self.hosts[li].pump_active = false;
+                return;
+            };
+            let (bytes, gated, same) = (
+                front.front_bytes() as u64,
+                self.gated(front.class()),
+                front.same_size_len(),
+            );
+            let tx = self.host_tx.tx_time(bytes);
+            let k = if gated {
+                debug_assert!(self.is_hw, "slow mode gates bulk at hosts");
+                self.train_len(now, tx, same)
+            } else {
+                1
+            };
+            let h = &mut self.hosts[li];
+            let run = self
+                .pool
+                .cut_front_n(h.next_queue(), k)
+                .expect("front exists");
+            // The departures at now, now + tx, …, last; the NIC frees at
+            // `sent`, where the next departure is due, stamped by `last`.
+            let last = now + tx * (k - 1);
+            let sent = last + tx;
+            h.nic_busy_until = sent;
+            self.trained += k - 1;
+            let first_at = now + tx + self.prop;
+            if !gated {
+                let pkt = run.front_packet();
+                self.queue
+                    .schedule_stamped(first_at, now, SEv::SwitchIn { pkt });
+            } else if k > 1 || self.window.admits(first_at, now) {
+                self.land(run, first_at, tx);
+            } else {
+                self.wire.push(Wire {
+                    at: first_at,
+                    sent: now,
+                    run,
+                });
+            }
+            let next_pops = self.window.admits(sent, last)
+                && self.queue.peek_key().is_none_or(|head| (sent, last) < head);
+            if !next_pops {
+                self.queue.schedule_stamped(sent, last, SEv::Pump { li });
+                return;
+            }
+            self.trained += 1;
+            self.clock = self.clock.max(sent);
+            now = sent;
         }
     }
 
@@ -370,47 +587,14 @@ impl Shard<'_> {
                 self.ensure_pump(now, li);
             }
 
-            SEv::Pump { li } => {
-                let h = &mut self.hosts[li];
-                if now < h.nic_busy_until {
-                    // A grant burst claimed the NIC; come back when free.
-                    let at = h.nic_busy_until;
-                    self.queue.schedule_at(at, SEv::Pump { li });
-                    return;
-                }
-                let Some(pkt) = h.pop_staged(&mut self.pool) else {
-                    h.pump_active = false;
-                    return;
-                };
-                let tx = self.host_tx.tx_time(pkt.bytes as u64);
-                h.nic_busy_until = now + tx;
-                self.queue
-                    .schedule_at(now + tx + self.prop, SEv::SwitchIn { pkt });
-                self.queue.schedule_at(now + tx, SEv::Pump { li });
-            }
+            SEv::Pump { li } => self.pump(now, li),
 
             SEv::SwitchIn { pkt } => {
-                if self.gated(pkt.class) {
-                    debug_assert!(self.is_hw, "slow mode gates bulk at hosts");
-                    let bytes = pkt.bytes as u64;
-                    match self.proc.enqueue(pkt) {
-                        Ok(()) => {
-                            if self.observed {
-                                self.ship(
-                                    now,
-                                    ShipKind::BufEnqueue {
-                                        site: Site::Switch,
-                                        bytes,
-                                    },
-                                );
-                            }
-                        }
-                        Err(_) => self.ship(now, ShipKind::Drop(DropCause::VoqFull)),
-                    }
-                } else {
-                    // EPS admission reads shared switch state: defer.
-                    self.ship(now, ShipKind::Eps(pkt));
-                }
+                // Gated packets land from the NIC or the wire; only EPS
+                // traffic arrives as an event. EPS admission reads shared
+                // switch state: defer.
+                debug_assert!(!self.gated(pkt.class), "gated packets land untimed");
+                self.ship(now, ShipKind::Eps(pkt));
             }
 
             SEv::HostGrant {
@@ -453,7 +637,8 @@ impl Shard<'_> {
                             },
                         );
                     }
-                    self.queue.schedule_at(dep + self.prop, SEv::OcsIn { pkt });
+                    self.queue
+                        .schedule_stamped(dep + self.prop, now, SEv::OcsIn { pkt });
                 }
                 self.granted = granted;
                 let h = &mut self.hosts[li];
@@ -514,7 +699,14 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
                 mtu: state.cfg.mtu,
                 prop: state.cfg.host_link.propagation,
                 observed: state.observed,
+                window: Window {
+                    limit: None,
+                    horizon,
+                },
+                wire: Vec::new(),
                 pops: 0,
+                trained: 0,
+                clock: SimTime::ZERO,
                 ship: Vec::new(),
             }
         })
@@ -561,7 +753,7 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
         // them.
         let limit = cq.peek_key().filter(|&(t, _)| t <= horizon);
         pregen_flows(&mut state, &mut shards, map, limit, &mut pending_sched);
-        run_windows(&mut shards, limit, horizon, workers);
+        run_windows(&mut shards, Window { limit, horizon }, workers);
         replay_ships(&mut state, &mut shards, &mut replay_buf);
         let Some((now, _)) = limit else { break };
         let (_, ev) = cq.pop().expect("peeked coordinator event");
@@ -570,7 +762,7 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
         handle_coord(&mut state, &mut shards, map, &mut cq, now, ev);
     }
     for s in &shards {
-        end_time = end_time.max(s.queue.now());
+        end_time = end_time.max(s.clock);
     }
 
     // Fold the coordinator queue's structural ledger, then merge each
@@ -580,14 +772,18 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
     st.counters.queue_spreads = cq.spread_count();
     st.counters.queue_spills = cq.spill_count();
     st.counters.queue_direct_sorts = cq.direct_sort_count();
+    st.counters.queue_pops = coord_pops;
+    // The model's events: every event popped, plus the ones trains
+    // handled without a queue event.
     let mut events = coord_pops;
     for s in &shards {
-        events += s.pops;
+        events += s.pops + s.trained;
         let (a, f, pk, g) = s.proc.pool_ledger();
         let c = CounterSet {
             queue_spreads: s.queue.spread_count(),
             queue_spills: s.queue.spill_count(),
             queue_direct_sorts: s.queue.direct_sort_count(),
+            queue_pops: s.pops,
             pool_allocs: s.pool.alloc_count() + a,
             pool_frees: s.pool.free_count() + f,
             // Per shard: host-pool peak (staged flows) + VOQ-bank peak
@@ -672,32 +868,24 @@ fn pregen_flows(
 /// busy shards: K is free to exceed the core count (big K pays for
 /// itself in cache locality even inline — see the module docs) without
 /// spawning K threads per barrier.
-fn run_windows(
-    shards: &mut [Shard<'_>],
-    limit: Option<(SimTime, SimTime)>,
-    horizon: SimTime,
-    workers: Option<usize>,
-) {
+fn run_windows(shards: &mut [Shard<'_>], w: Window, workers: Option<usize>) {
     let Some(workers) = workers else {
         for sh in shards.iter_mut() {
-            sh.run_window(limit, horizon);
+            sh.run_window(w);
         }
         return;
     };
-    let mut busy: Vec<&mut Shard<'_>> = shards
-        .iter_mut()
-        .filter(|s| s.has_work(limit, horizon))
-        .collect();
+    let mut busy: Vec<&mut Shard<'_>> = shards.iter_mut().filter(|s| s.has_work(w)).collect();
     match busy.len() {
         0 => {}
-        1 => busy[0].run_window(limit, horizon),
+        1 => busy[0].run_window(w),
         n => {
             let per = n.div_ceil(workers.min(n));
             std::thread::scope(|scope| {
                 for chunk in busy.chunks_mut(per) {
                     scope.spawn(move || {
                         for sh in chunk {
-                            sh.run_window(limit, horizon);
+                            sh.run_window(w);
                         }
                     });
                 }
@@ -707,9 +895,10 @@ fn run_windows(
 }
 
 /// Applies every shipped effect in canonical `(time, shard, seq)`
-/// order — the cross-shard merge rule that pins determinism. A shard's
-/// own log is already in `(time, seq)` order (its window runs in time
-/// order), so when only one shard shipped — always, at K = 1 — its log
+/// order — the cross-shard merge rule that pins determinism. A shard logs
+/// its events' effects in time order, but a gated packet's landing ships
+/// at its arrival time ahead of events that come before it. When only one
+/// shard shipped — always, at K = 1 — and its log is in time order, it
 /// replays in place; otherwise the logs merge through `buf`.
 fn replay_ships(
     st: &mut SimState,
@@ -720,16 +909,17 @@ fn replay_ships(
     let Some(first) = shipping.next() else {
         return;
     };
-    let Some(second) = shipping.next() else {
+    let second = shipping.next();
+    if second.is_none() && first.ship.is_sorted_by_key(|sh| sh.t) {
         let mut log = std::mem::take(&mut first.ship);
         for sh in log.drain(..) {
             apply_ship(st, sh.t, sh.kind);
         }
         first.ship = log;
         return;
-    };
+    }
     buf.clear();
-    for s in [first, second].into_iter().chain(shipping) {
+    for s in std::iter::once(first).chain(second).chain(shipping) {
         let sid = s.id as u32;
         buf.extend(
             s.ship
@@ -779,13 +969,13 @@ fn apply_ship(st: &mut SimState, t: SimTime, kind: ShipKind) {
                 Err(_) => st.counters.drop_sync_violation += 1,
             }
         }
-        ShipKind::Drop(cause) => {
+        ShipKind::Drop { cause, packets } => {
             let c = &mut st.counters;
             match cause {
-                DropCause::VoqFull => c.drop_voq_full += 1,
-                DropCause::EpsFull => c.drop_eps_full += 1,
-                DropCause::SyncViolation => c.drop_sync_violation += 1,
-                DropCause::LinkDark => c.drop_link_dark += 1,
+                DropCause::VoqFull => c.drop_voq_full += packets,
+                DropCause::EpsFull => c.drop_eps_full += packets,
+                DropCause::SyncViolation => c.drop_sync_violation += packets,
+                DropCause::LinkDark => c.drop_link_dark += packets,
             }
         }
         ShipKind::BufEnqueue { site, bytes } => st.buffers.on_enqueue(site, bytes, t),

@@ -48,6 +48,11 @@ pub struct CounterSet {
     pub queue_spills: u64,
     /// Ladder-queue sparse replenishes that bypassed bucketing.
     pub queue_direct_sorts: u64,
+    /// Events popped from the event queues (the coordinator's and the
+    /// shards'). The run's `events` also counts the events a NIC train
+    /// handles without a queue event, so `events − queue_pops` is what
+    /// the trains took.
+    pub queue_pops: u64,
     /// Entries pushed into the pools: a staged flow or app send at a
     /// host, a run of one flow's consecutive packets in the VOQ bank
     /// (under software placement, a whole flow or gated app send a host
@@ -97,7 +102,7 @@ pub struct CounterSet {
 
 impl CounterSet {
     /// Number of counters in the registry.
-    pub const LEN: usize = 23;
+    pub const LEN: usize = 24;
 
     /// The canonical `(name, value)` enumeration, in stable order. Column
     /// emitters and docs must derive from this list so names cannot
@@ -112,6 +117,7 @@ impl CounterSet {
             ("queue_spreads", self.queue_spreads),
             ("queue_spills", self.queue_spills),
             ("queue_direct_sorts", self.queue_direct_sorts),
+            ("queue_pops", self.queue_pops),
             ("pool_allocs", self.pool_allocs),
             ("pool_frees", self.pool_frees),
             ("pool_live_peak", self.pool_live_peak),
@@ -158,6 +164,7 @@ impl CounterSet {
             ("queue_spreads", Sum),
             ("queue_spills", Sum),
             ("queue_direct_sorts", Sum),
+            ("queue_pops", Sum),
             ("pool_allocs", Sum),
             ("pool_frees", Sum),
             ("pool_live_peak", Max),
@@ -196,6 +203,7 @@ impl CounterSet {
         self.queue_spreads += other.queue_spreads;
         self.queue_spills += other.queue_spills;
         self.queue_direct_sorts += other.queue_direct_sorts;
+        self.queue_pops += other.queue_pops;
         self.pool_allocs += other.pool_allocs;
         self.pool_frees += other.pool_frees;
         self.pool_live_peak = self.pool_live_peak.max(other.pool_live_peak);
@@ -331,21 +339,22 @@ mod tests {
             5 => c.queue_spreads = v,
             6 => c.queue_spills = v,
             7 => c.queue_direct_sorts = v,
-            8 => c.pool_allocs = v,
-            9 => c.pool_frees = v,
-            10 => c.pool_live_peak = v,
-            11 => c.pool_chunk_growths = v,
-            12 => c.voq_pairs = v,
-            13 => c.grant_bursts = v,
-            14 => c.grant_pkts_max = v,
-            15 => c.delivery_batches = v,
-            16 => c.fault_events_injected = v,
-            17 => c.fault_degraded_ns_max = v,
-            18 => c.fault_failover_bytes = v,
-            19 => c.drop_voq_full = v,
-            20 => c.drop_eps_full = v,
-            21 => c.drop_sync_violation = v,
-            22 => c.drop_link_dark = v,
+            8 => c.queue_pops = v,
+            9 => c.pool_allocs = v,
+            10 => c.pool_frees = v,
+            11 => c.pool_live_peak = v,
+            12 => c.pool_chunk_growths = v,
+            13 => c.voq_pairs = v,
+            14 => c.grant_bursts = v,
+            15 => c.grant_pkts_max = v,
+            16 => c.delivery_batches = v,
+            17 => c.fault_events_injected = v,
+            18 => c.fault_degraded_ns_max = v,
+            19 => c.fault_failover_bytes = v,
+            20 => c.drop_voq_full = v,
+            21 => c.drop_eps_full = v,
+            22 => c.drop_sync_violation = v,
+            23 => c.drop_link_dark = v,
             _ => unreachable!(),
         }
         c

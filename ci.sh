@@ -151,6 +151,16 @@ grep -q '"pool_allocs"' results/ci_counters.json \
     || { echo "ci.sh: counters columns missing from sweep JSON"; exit 1; }
 head -1 results/ci_counters.csv | grep -q 'sched_memo_hits' \
     || { echo "ci.sh: counters columns missing from sweep CSV header"; exit 1; }
+# The event queue is a binary heap: the ladder's spread/spill/direct-sort
+# counters are retired, and `queue_pops` is the queue's one column.
+counters_header=$(head -1 results/ci_counters.csv)
+printf '%s\n' "$counters_header" | tr ',' '\n' | grep -qx 'queue_pops' \
+    || { echo "ci.sh: queue_pops missing from sweep CSV header"; exit 1; }
+for retired in queue_spreads queue_spills queue_direct_sorts; do
+    if printf '%s\n' "$counters_header" | tr ',' '\n' | grep -qx "$retired"; then
+        echo "ci.sh: retired counter $retired is back in the sweep CSV header"; exit 1
+    fi
+done
 
 echo "==> host staging (hosts hold flows, the VOQ bank runs: pool allocations <= events, and bounded by flows)"
 # Every pool entry is pushed by the handler of its own event — a staged

@@ -20,10 +20,11 @@
 //! * `hotspot-sw` — slow-mode host VOQs, control-channel grants;
 //! * `scale-stress` at 128, 256, 512, 1024 and 2048 ports — multi-entry
 //!   schedule execution at fabric scale (each point also records a
-//!   wall-clock phase split: estimate / decompose / apply). The two
-//!   largest points run at K = n shards (one source port per shard):
+//!   wall-clock phase split: estimate / decompose / apply). The points
+//!   from 256 ports up run at K = n shards (one source port per shard):
 //!   each window then drains one port's events against its own small
-//!   VOQ bank, which holds only the pairs that port sends to. Events and
+//!   event queue and VOQ bank, which holds only the pairs that port
+//!   sends to; at 128 ports K = n is slower than one shard. Events and
 //!   delivered bytes are shard-count-invariant by the core's
 //!   determinism contract, so forcing another K moves neither.
 //!
@@ -199,10 +200,13 @@ pub fn catalogue(smoke: bool) -> Vec<ScenarioSpec> {
             .expect("catalogue entry")
             .with_seed(15)
             .with_duration(ms(20, 1)),
+        // From 256 ports up, one shard per port: a single queue holding
+        // every host's events costs more than K = n's barriers.
         library::scenario("scale-stress")
             .expect("catalogue entry")
             .with_ports(256)
             .with_seed(16)
+            .with_shards(256)
             .with_duration(ms(10, 1)),
         // Non-mirror estimators: the epoch loop's ground-truth snapshot
         // and L1 pass are in the catalogue only through these points
@@ -225,11 +229,12 @@ pub fn catalogue(smoke: bool) -> Vec<ScenarioSpec> {
             .with_ports(16)
             .with_seed(18)
             .with_duration(ms(20, 1)),
-        // Half-kilofabric scale point.
+        // Half-kilofabric scale point, one shard per port.
         library::scenario("scale-stress")
             .expect("catalogue entry")
             .with_ports(512)
             .with_seed(19)
+            .with_shards(512)
             .with_duration(ms(4, 1)),
         // The kilofabric point: 1024 ports, where Solstice's epoch path
         // (worklist probing + matching) dominates wall-clock well before
@@ -363,9 +368,9 @@ mod tests {
         assert!(names.contains(&"scale-stress/n512"));
         assert!(names.contains(&"scale-stress/n1024"));
         assert!(names.contains(&"scale-stress/n2048"));
-        // The two largest rungs run on the sharded core.
+        // The rungs from 256 ports up run on the sharded core.
         for s in &full {
-            if s.n_ports >= 1024 {
+            if s.n_ports >= 256 {
                 assert!(s.shards > 1, "{} must run sharded", s.name);
             }
         }

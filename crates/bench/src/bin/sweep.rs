@@ -42,7 +42,7 @@
 //! Perfetto (ui.perfetto.dev) or chrome://tracing. Tracing never changes
 //! simulated behavior; wall-clock data stays out of the deterministic
 //! row artifacts. `--counters` appends the [`xds_core::CounterSet`]
-//! column group (scheduler memoization, ladder-queue paths, packet-pool
+//! column group (scheduler memoization, event-queue pops, packet-pool
 //! ledger, grant batching) to the JSON/CSV rows; those values are pure
 //! functions of the simulated event sequence and safe to pin.
 //!

@@ -97,9 +97,9 @@ fn bench_subset_is_byte_identical_across_thread_counts() {
 #[test]
 fn counters_columns_are_byte_identical_across_thread_counts() {
     // The internal-counters registry (scheduler memo/HK/probe tallies,
-    // ladder-queue spreads/spills, pool high-water marks, grant-burst
-    // shape) is simulation-domain only — a pure function of the seeded
-    // event sequence. Serialized with `--counters` it must therefore be
+    // queue pops, pool high-water marks, grant-burst shape) is
+    // simulation-domain only — a pure function of the seeded event
+    // sequence. Serialized with `--counters` it must therefore be
     // byte-identical across sweep thread counts, same as the classic
     // columns. A wall-clock value leaking into a counter shows up here.
     let specs: Vec<ScenarioSpec> = subset().into_iter().filter(|s| s.n_ports <= 256).collect();

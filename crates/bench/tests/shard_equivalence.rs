@@ -11,7 +11,7 @@
 //! between coordinator events), never *what* it computes. Events,
 //! delivered bytes, drops, latency distributions and the behavioral
 //! counters are invariant in the shard count and in the shape of the
-//! shard map; only the structural ledgers (ladder-queue and pool
+//! shard map; only the structural ledgers (queue pops and pool
 //! internals) may differ, because K shards own K queues and K pools.
 
 use proptest::prelude::*;
@@ -22,9 +22,10 @@ use xds_sim::{SimDuration, SimTime};
 
 /// Counters that are shard-count-invariant by contract: pure functions
 /// of the scheduler/grant/delivery event sequence and of the pairs the
-/// traffic reached, which every shard layout reproduces exactly. The structural ledgers (`queue_*`, `pool_*`)
-/// are excluded — they describe the executor's own data structures, of
-/// which a K-shard run legitimately has K.
+/// traffic reached, which every shard layout reproduces exactly. The
+/// structural ledgers (`queue_pops`, `pool_*`) are excluded — they
+/// describe the executor's own data structures, of which a K-shard run
+/// legitimately has K.
 const BEHAVIORAL_COUNTERS: [&str; 16] = [
     "sched_memo_hits",
     "sched_hk_runs",

@@ -49,7 +49,7 @@ pub use instrument::{DropCause, EpochSample, InstrProfile, Instrumentation};
 pub use node::{MatrixCycle, Workload};
 pub use pool::{Fifo, Pool};
 pub use report::{MetricValue, RunReport};
-pub use runtime::{BuildError, HybridSim, ShardExec, ShardMap, SimBuilder};
+pub use runtime::{BuildError, HybridSim, ShardMap, SimBuilder};
 pub use sched::{Schedule, ScheduleCtx, ScheduleEntry, Scheduler};
 pub use trace::{validate_chrome_trace, SchedObs, SchedSpan, TraceRecorder, TraceSummary};
 pub use xds_metrics::CounterSet;

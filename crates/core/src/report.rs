@@ -122,9 +122,9 @@ pub struct RunReport {
     /// classic aggregate bundle.
     pub timeseries: Option<EpochSeries>,
 
-    /// Deterministic internal counters (scheduler memoization, ladder-
-    /// queue structural paths, packet-pool conservation ledger, grant
-    /// batching): pure functions of the simulated event sequence, so
+    /// Deterministic internal counters (scheduler memoization, event-
+    /// queue pops, packet-pool conservation ledger, grant batching):
+    /// pure functions of the simulated event sequence, so
     /// they are pinnable and thread-count-invariant. Deliberately **not**
     /// part of [`trace_json`](Self::trace_json) — the golden traces pin
     /// the classic aggregate bundle and must not churn when a counter is

@@ -56,7 +56,7 @@ use xds_metrics::CounterSet;
 /// (child module, so it shares this module's private types).
 #[path = "shard.rs"]
 mod shard;
-pub use shard::{ShardExec, ShardMap};
+pub use shard::ShardMap;
 
 /// Coordinator events: the ones whose handlers read or write state shared
 /// across port groups (scheduler, OCS/EPS, recorder, RNG). Shard-local
@@ -389,7 +389,6 @@ pub struct SimBuilder {
     trace: bool,
     shards: usize,
     shard_map: Option<ShardMap>,
-    shard_exec: ShardExec,
     faults: Option<FaultPlan>,
 }
 
@@ -407,7 +406,6 @@ impl SimBuilder {
             trace: false,
             shards: 1,
             shard_map: None,
-            shard_exec: ShardExec::Auto,
             faults: None,
         }
     }
@@ -434,15 +432,6 @@ impl SimBuilder {
     /// contiguous default split (overrides [`shards`](Self::shards)).
     pub fn shard_map(mut self, map: ShardMap) -> Self {
         self.shard_map = Some(map);
-        self
-    }
-
-    /// How shard windows execute (defaults to [`ShardExec::Auto`]:
-    /// worker threads when the machine has more than one CPU, inline
-    /// otherwise; a single shard always runs inline). Results are
-    /// identical in every mode.
-    pub fn shard_execution(mut self, exec: ShardExec) -> Self {
-        self.shard_exec = exec;
         self
     }
 
@@ -496,7 +485,6 @@ impl SimBuilder {
             trace,
             shards,
             shard_map,
-            shard_exec,
             faults,
         } = self;
         cfg.validate().map_err(BuildError::InvalidConfig)?;
@@ -610,7 +598,6 @@ impl SimBuilder {
             state,
             hosts,
             shard_map,
-            shard_exec,
         })
     }
 }
@@ -622,7 +609,6 @@ pub struct HybridSim {
     /// shards.
     hosts: Vec<Host>,
     shard_map: ShardMap,
-    shard_exec: ShardExec,
 }
 
 impl HybridSim {
@@ -631,9 +617,13 @@ impl HybridSim {
         SimBuilder::new(cfg)
     }
 
-    /// Runs the testbed until `horizon` and returns the report.
+    /// Runs the testbed until `horizon` and returns the report. With
+    /// more than one shard, windows run on worker threads (at most one
+    /// per CPU) when the machine has more than one CPU, inline otherwise;
+    /// results are identical either way.
     pub fn run(self, horizon: SimTime) -> RunReport {
-        shard::run_sharded(self, horizon)
+        let workers = shard::default_workers(self.shard_map.k());
+        shard::run_sharded(self, horizon, workers)
     }
 }
 
@@ -2047,21 +2037,20 @@ mod tests {
     #[test]
     fn shard_executor_modes_are_equivalent() {
         // Threads vs inline must be byte-identical (shards share nothing
-        // within a window) — this exercises the concurrent path even on
-        // a single-CPU machine.
+        // within a window) — four workers for four shards exercise the
+        // concurrent path even on a single-CPU machine.
         let n = 8;
-        let mk = |exec| {
-            SimBuilder::new(hw_cfg(n))
+        let mk = |workers| {
+            let sim = SimBuilder::new(hw_cfg(n))
                 .workload(flows(n, 0.4, 7))
                 .scheduler(Box::new(IslipScheduler::new(n, 3)))
                 .shards(4)
-                .shard_execution(exec)
                 .build()
-                .unwrap()
-                .run(SimTime::from_millis(3))
+                .unwrap();
+            shard::run_sharded(sim, SimTime::from_millis(3), workers)
         };
-        let inline = mk(ShardExec::Inline);
-        let threads = mk(ShardExec::Threads);
+        let inline = mk(None);
+        let threads = mk(Some(4));
         assert_eq!(inline.events, threads.events);
         assert_eq!(inline.delivered_ocs_bytes, threads.delivered_ocs_bytes);
         assert_eq!(inline.delivered_eps_bytes, threads.delivered_eps_bytes);

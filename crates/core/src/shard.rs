@@ -55,16 +55,16 @@
 //!      scheduler and the decision-latency RNG consume identical inputs.
 //!
 //! Counters whose value reflects *structure* rather than behavior —
-//! the coordinator's and the shards' ladder-queue and pool ledgers
-//! (`queue_*`, `pool_*`; `queue_pops` too, since how far a train runs
-//! depends on which events share its queue) — are merged across shards
-//! with [`CounterSet::merge`] semantics (sums for tallies, max for peaks)
-//! and are deterministic per `(K, seed)` but legitimately K-dependent.
+//! the coordinator's and the shards' queue pops (`queue_pops`: how far a
+//! train runs depends on which events share its queue) and pool ledgers
+//! (`pool_*`) — are merged across shards with [`CounterSet::merge`]
+//! semantics (sums for tallies, max for peaks) and are deterministic per
+//! `(K, seed)` but legitimately K-dependent.
 //!
 //! # Execution
 //!
-//! With K > 1, shard windows run on worker threads when the machine has
-//! more than one CPU ([`ShardExec::Auto`]); on a single CPU they run
+//! With K > 1, shard windows run on worker threads (at most one per CPU)
+//! when the machine has more than one CPU; on a single CPU they run
 //! inline, sequentially — same results either way, because shards share
 //! nothing within a window. Even inline, sharding pays on big fabrics:
 //! each shard's window drains its events back-to-back against a private
@@ -180,21 +180,6 @@ impl ShardMap {
     pub fn ports_of(&self, s: usize) -> &[u32] {
         &self.ports[self.starts[s] as usize..self.starts[s + 1] as usize]
     }
-}
-
-/// How shard windows execute between barriers. A single shard always
-/// runs inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardExec {
-    /// Worker threads (at most one per CPU) when the machine has more
-    /// than one CPU; inline otherwise.
-    #[default]
-    Auto,
-    /// Always sequential, in shard order, on the calling thread.
-    Inline,
-    /// Always scoped worker threads (even on one CPU — results are
-    /// identical, this just exercises the concurrent path).
-    Threads,
 }
 
 /// Shard-local events: the ones whose handlers touch only one port
@@ -653,26 +638,28 @@ impl Shard<'_> {
     }
 }
 
-/// Runs the simulation to `horizon` (the body of [`HybridSim::run`]).
-pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
+/// The worker threads a run's windows use: one per CPU when K > 1 on a
+/// machine with more than one CPU, none (inline) otherwise. Read once per
+/// run, and only for K > 1: std re-reads the cgroup quota on every call.
+pub(super) fn default_workers(k: usize) -> Option<usize> {
+    if k == 1 {
+        return None;
+    }
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    Some(cpus).filter(|&c| c > 1)
+}
+
+/// Runs the simulation to `horizon` (the body of [`HybridSim::run`]),
+/// its windows on at most `workers` threads (`None`: inline).
+pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, workers: Option<usize>) -> RunReport {
     let HybridSim {
         mut state,
         hosts,
         shard_map: map,
-        shard_exec,
     } = sim;
     state.horizon = horizon;
     let n = state.cfg.n_ports;
     assert_eq!(map.ports(), n, "shard map port-space mismatch");
-    // Worker cap for threaded windows, read once per run (std re-reads
-    // the cgroup quota on every call). `None` runs windows inline.
-    let cpus = || std::thread::available_parallelism().map_or(1, |p| p.get());
-    let workers = match shard_exec {
-        _ if map.k() == 1 => None,
-        ShardExec::Inline => None,
-        ShardExec::Threads => Some(cpus()),
-        ShardExec::Auto => Some(cpus()).filter(|&c| c > 1),
-    };
 
     // Partition the built hosts (clock offsets were drawn in global port
     // order at build) into shards.
@@ -765,13 +752,9 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
         end_time = end_time.max(s.clock);
     }
 
-    // Fold the coordinator queue's structural ledger, then merge each
-    // shard's ledger set with kind-aware semantics: tallies sum, peaks
-    // max.
+    // Count the coordinator queue's pops, then merge each shard's
+    // ledger set with kind-aware semantics: tallies sum, peaks max.
     let mut st = state;
-    st.counters.queue_spreads = cq.spread_count();
-    st.counters.queue_spills = cq.spill_count();
-    st.counters.queue_direct_sorts = cq.direct_sort_count();
     st.counters.queue_pops = coord_pops;
     // The model's events: every event popped, plus the ones trains
     // handled without a queue event.
@@ -780,9 +763,6 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime) -> RunReport {
         events += s.pops + s.trained;
         let (a, f, pk, g) = s.proc.pool_ledger();
         let c = CounterSet {
-            queue_spreads: s.queue.spread_count(),
-            queue_spills: s.queue.spill_count(),
-            queue_direct_sorts: s.queue.direct_sort_count(),
             queue_pops: s.pops,
             pool_allocs: s.pool.alloc_count() + a,
             pool_frees: s.pool.free_count() + f,

@@ -41,12 +41,23 @@ pub struct CounterSet {
     pub sched_worklist_peak: u64,
     /// Largest per-epoch count of populated value buckets.
     pub sched_bucket_peak: u64,
-    /// Ladder-queue dense buckets spread into deeper rungs.
+    /// Retired with the ladder event queue (it counted rung spreads):
+    /// always 0, and outside [`items`](Self::items),
+    /// [`kinds`](Self::kinds) and [`merge`](Self::merge). Kept only
+    /// because the repository benchmark reads it; the next change to the
+    /// benchmark deletes it.
     pub queue_spreads: u64,
-    /// Ladder-queue bottom-run spills into a fresh rung (the burst
-    /// valve).
+    /// Retired with the ladder event queue (it counted bottom-run spills):
+    /// always 0, and outside [`items`](Self::items),
+    /// [`kinds`](Self::kinds) and [`merge`](Self::merge). Kept only
+    /// because the repository benchmark reads it; the next change to the
+    /// benchmark deletes it.
     pub queue_spills: u64,
-    /// Ladder-queue sparse replenishes that bypassed bucketing.
+    /// Retired with the ladder event queue (it counted direct sorts):
+    /// always 0, and outside [`items`](Self::items),
+    /// [`kinds`](Self::kinds) and [`merge`](Self::merge). Kept only
+    /// because the repository benchmark reads it; the next change to the
+    /// benchmark deletes it.
     pub queue_direct_sorts: u64,
     /// Events popped from the event queues (the coordinator's and the
     /// shards'). The run's `events` also counts the events a NIC train
@@ -102,7 +113,7 @@ pub struct CounterSet {
 
 impl CounterSet {
     /// Number of counters in the registry.
-    pub const LEN: usize = 24;
+    pub const LEN: usize = 21;
 
     /// The canonical `(name, value)` enumeration, in stable order. Column
     /// emitters and docs must derive from this list so names cannot
@@ -114,9 +125,6 @@ impl CounterSet {
             ("sched_probes", self.sched_probes),
             ("sched_worklist_peak", self.sched_worklist_peak),
             ("sched_bucket_peak", self.sched_bucket_peak),
-            ("queue_spreads", self.queue_spreads),
-            ("queue_spills", self.queue_spills),
-            ("queue_direct_sorts", self.queue_direct_sorts),
             ("queue_pops", self.queue_pops),
             ("pool_allocs", self.pool_allocs),
             ("pool_frees", self.pool_frees),
@@ -161,9 +169,6 @@ impl CounterSet {
             ("sched_probes", Sum),
             ("sched_worklist_peak", Max),
             ("sched_bucket_peak", Max),
-            ("queue_spreads", Sum),
-            ("queue_spills", Sum),
-            ("queue_direct_sorts", Sum),
             ("queue_pops", Sum),
             ("pool_allocs", Sum),
             ("pool_frees", Sum),
@@ -200,9 +205,6 @@ impl CounterSet {
         self.sched_probes += other.sched_probes;
         self.sched_worklist_peak = self.sched_worklist_peak.max(other.sched_worklist_peak);
         self.sched_bucket_peak = self.sched_bucket_peak.max(other.sched_bucket_peak);
-        self.queue_spreads += other.queue_spreads;
-        self.queue_spills += other.queue_spills;
-        self.queue_direct_sorts += other.queue_direct_sorts;
         self.queue_pops += other.queue_pops;
         self.pool_allocs += other.pool_allocs;
         self.pool_frees += other.pool_frees;
@@ -244,6 +246,20 @@ mod tests {
         assert_eq!(sorted.len(), CounterSet::LEN);
         assert_eq!(names[0], "sched_memo_hits");
         assert_eq!(names[CounterSet::LEN - 1], "drop_link_dark");
+        // The ladder queue's counters are retired: no column, no lookup,
+        // and a merge leaves them at 0.
+        for retired in ["queue_spreads", "queue_spills", "queue_direct_sorts"] {
+            assert!(!names.contains(&retired), "{retired} is retired");
+            assert_eq!(c.get(retired), None);
+        }
+        let mut merged = CounterSet::default();
+        merged.merge(&CounterSet {
+            queue_spreads: 1,
+            queue_spills: 2,
+            queue_direct_sorts: 3,
+            ..CounterSet::default()
+        });
+        assert_eq!(merged, CounterSet::default());
     }
 
     #[test]
@@ -336,25 +352,22 @@ mod tests {
             2 => c.sched_probes = v,
             3 => c.sched_worklist_peak = v,
             4 => c.sched_bucket_peak = v,
-            5 => c.queue_spreads = v,
-            6 => c.queue_spills = v,
-            7 => c.queue_direct_sorts = v,
-            8 => c.queue_pops = v,
-            9 => c.pool_allocs = v,
-            10 => c.pool_frees = v,
-            11 => c.pool_live_peak = v,
-            12 => c.pool_chunk_growths = v,
-            13 => c.voq_pairs = v,
-            14 => c.grant_bursts = v,
-            15 => c.grant_pkts_max = v,
-            16 => c.delivery_batches = v,
-            17 => c.fault_events_injected = v,
-            18 => c.fault_degraded_ns_max = v,
-            19 => c.fault_failover_bytes = v,
-            20 => c.drop_voq_full = v,
-            21 => c.drop_eps_full = v,
-            22 => c.drop_sync_violation = v,
-            23 => c.drop_link_dark = v,
+            5 => c.queue_pops = v,
+            6 => c.pool_allocs = v,
+            7 => c.pool_frees = v,
+            8 => c.pool_live_peak = v,
+            9 => c.pool_chunk_growths = v,
+            10 => c.voq_pairs = v,
+            11 => c.grant_bursts = v,
+            12 => c.grant_pkts_max = v,
+            13 => c.delivery_batches = v,
+            14 => c.fault_events_injected = v,
+            15 => c.fault_degraded_ns_max = v,
+            16 => c.fault_failover_bytes = v,
+            17 => c.drop_voq_full = v,
+            18 => c.drop_eps_full = v,
+            19 => c.drop_sync_violation = v,
+            20 => c.drop_link_dark = v,
             _ => unreachable!(),
         }
         c

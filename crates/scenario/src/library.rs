@@ -120,32 +120,38 @@ pub fn scenario(name: &str) -> Option<ScenarioSpec> {
                 .with_load(0.6)
                 .with_duration(SimDuration::from_millis(2)),
 
-            // The same multi-ring stress at half-kilofabric scale,
-            // derived from the base entry so the specs cannot drift:
-            // 512 ports exercise the chunked VOQ pool, slab-id schedules
-            // and ladder event queue at the sizes they were built for.
-            // The horizon is short — per-epoch scheduling is O(n²)-ish —
-            // and sweepable up when a study needs more.
-            // The 256-port middle rung, derived like the larger sizes.
-            // This is the flight-recorder reference point: small enough
-            // that a traced run stays interactive, large enough that the
-            // Solstice probe/HK/memo spans carry real work.
+            // The 256-port middle rung, derived from the base entry so
+            // the specs cannot drift. This is the flight-recorder
+            // reference point: small enough that a traced run stays
+            // interactive, large enough that the Solstice probe/HK/memo
+            // spans carry real work. From 256 ports up, the rungs default
+            // to one shard per source port: one queue holding hundreds of
+            // hosts' events costs more than the barriers of K = n (at
+            // 128 ports K = n is slower, so the base entry keeps K = 1).
+            // Results are invariant in the shard count.
             "scale-stress-256" => scenario("scale-stress")
                 .expect("base entry exists")
                 .with_name("scale-stress-256")
                 .with_ports(256)
+                .with_shards(256)
                 .with_duration(SimDuration::from_millis(1)),
 
+            // The same multi-ring stress at half-kilofabric scale: 512
+            // ports exercise the VOQ pool, slab-id schedules and sharded
+            // windows at the sizes they were built for. The horizon is
+            // short — per-epoch scheduling is O(n²)-ish — and sweepable
+            // up when a study needs more.
             "scale-stress-512" => scenario("scale-stress")
                 .expect("base entry exists")
                 .with_name("scale-stress-512")
                 .with_ports(512)
+                .with_shards(512)
                 .with_duration(SimDuration::from_millis(1)),
 
             // Kilofabric stress: 1024 ports of pooled data structures
             // (VOQ records for the 4,096 pairs the rings reach, slab
-            // schedules, no per-packet allocation). Like
-            // the 2048 rung it defaults to one shard per source port,
+            // schedules, no per-packet allocation). Like the 256, 512
+            // and 2048 rungs it defaults to one shard per source port,
             // the fastest single-CPU layout measured (~1.5x one shard
             // for the whole fabric); `--shards 1` runs it as one shard,
             // with identical results.

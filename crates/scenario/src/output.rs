@@ -648,7 +648,10 @@ mod tests {
         let lines: Vec<&str> = csv.trim_end().lines().collect();
         let header: Vec<&str> = lines[0].split(',').collect();
         assert_eq!(header.last(), Some(&"ok"));
-        assert!(header.contains(&"queue_spills"));
+        assert!(header.contains(&"queue_pops"));
+        for retired in ["queue_spreads", "queue_spills", "queue_direct_sorts"] {
+            assert!(!header.contains(&retired), "{retired} is retired");
+        }
         let header_cols = header.len();
         assert_eq!(
             header_cols,

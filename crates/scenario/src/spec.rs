@@ -19,7 +19,7 @@ use xds_core::sched::{
 use xds_estimate::EstimateProblem;
 use xds_hw::{ClockDomain, HwAlgo, HwSchedulerModel, SwSchedulerModel, SyncModel};
 use xds_net::PortNo;
-use xds_sim::{BitRate, SimDuration, SimRng, SimTime};
+use xds_sim::{SimDuration, SimRng, SimTime};
 use xds_traffic::{mean_flow_gap, CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
 
 /// The fidelity tier a point is evaluated at: the exact event-driven
@@ -861,24 +861,20 @@ impl ScenarioSpec {
         cfg
     }
 
-    /// Rejects a load whose flow arrivals cannot be drawn (see
-    /// [`mean_flow_gap`]), naming it: both fidelities return this error
-    /// where the exact run would otherwise panic.
-    fn check_flow_rate(&self, eff_load: f64, line_rate: BitRate) -> Result<(), String> {
-        mean_flow_gap(eff_load, self.n_ports, line_rate, &self.sizes)
-            .map(|_| ())
-            .map_err(|e| format!("scenario {}: load {:?}: {e}", self.name, self.load))
-    }
-
-    /// Materializes the runtime inputs. Every RNG stream (runtime, matrix
-    /// shuffling, workload arrivals) forks deterministically off
-    /// [`seed`](Self::seed), so a spec is exactly reproducible.
-    pub fn build(&self) -> Result<BuiltScenario, String> {
+    /// The prologue both fidelities share, so both describe the *same*
+    /// point: validation, the root-RNG derivation order, the node
+    /// configuration, the matrix draw and the load normalization. Returns
+    /// the configuration, the matrix, the effective load and the workload
+    /// RNG (only the exact tier draws from it).
+    fn prologue(&self) -> Result<(NodeConfig, TrafficMatrix, f64, SimRng), String> {
         if self.n_ports < 2 {
             return Err(format!("scenario {}: need at least 2 ports", self.name));
         }
         if self.load <= 0.0 || !self.load.is_finite() {
-            return Err(format!("scenario {}: load must be positive", self.name));
+            return Err(format!(
+                "scenario {}: load must be finite and positive, got {}",
+                self.name, self.load
+            ));
         }
         let mut root = SimRng::new(self.seed);
         let cfg_seed = root.next_u64();
@@ -895,7 +891,18 @@ impl ScenarioSpec {
         } else {
             self.load
         };
-        self.check_flow_rate(eff_load, cfg.line_rate)?;
+        // A load whose flow arrivals cannot be drawn is an error at both
+        // fidelities, where the exact run would otherwise panic.
+        mean_flow_gap(eff_load, self.n_ports, cfg.line_rate, &self.sizes)
+            .map_err(|e| format!("scenario {}: load {:?}: {e}", self.name, self.load))?;
+        Ok((cfg, matrix, eff_load, workload_rng))
+    }
+
+    /// Materializes the runtime inputs. Every RNG stream (runtime, matrix
+    /// shuffling, workload arrivals) forks deterministically off
+    /// [`seed`](Self::seed), so a spec is exactly reproducible.
+    pub fn build(&self) -> Result<BuiltScenario, String> {
+        let (cfg, matrix, eff_load, workload_rng) = self.prologue()?;
         let mut gen = FlowGenerator::with_load(
             matrix,
             self.sizes.clone(),
@@ -942,34 +949,11 @@ impl ScenarioSpec {
         Ok(sim.run(SimTime::ZERO + self.duration))
     }
 
-    /// Translates the spec for the estimate tier and solves it. The
-    /// prologue deliberately mirrors [`build`](Self::build) — same
-    /// validation, same root-RNG derivation order, same matrix draw and
-    /// load normalization — so both tiers describe the *same* point and
-    /// differ only in how they evaluate it.
+    /// Translates the spec for the estimate tier and solves it. It runs
+    /// [`build`](Self::build)'s prologue, so both tiers describe the
+    /// *same* point and differ only in how they evaluate it.
     fn run_estimate(&self) -> Result<RunReport, String> {
-        if self.n_ports < 2 {
-            return Err(format!("scenario {}: need at least 2 ports", self.name));
-        }
-        if self.load <= 0.0 || !self.load.is_finite() {
-            return Err(format!("scenario {}: load must be positive", self.name));
-        }
-        let mut root = SimRng::new(self.seed);
-        let cfg_seed = root.next_u64();
-        let mut matrix_rng = root.fork();
-        let _workload_rng = root.fork();
-
-        let cfg = self.node_config(cfg_seed);
-        cfg.validate()
-            .map_err(|e| format!("scenario {}: {e}", self.name))?;
-
-        let matrix = self.pattern.matrix(self.n_ports, &mut matrix_rng);
-        let eff_load = if self.normalize_load {
-            self.load / matrix.imbalance()
-        } else {
-            self.load
-        };
-        self.check_flow_rate(eff_load, cfg.line_rate)?;
+        let (cfg, matrix, eff_load, _) = self.prologue()?;
         // Lean instrumentation means "don't observe": the estimate tier
         // mirrors that by leaving observation-derived columns absent.
         let measured = self.profile != InstrProfile::Lean;
@@ -1113,6 +1097,24 @@ mod tests {
             .with_reconfig(SimDuration::from_micros(10))
             .with_epoch(SimDuration::from_micros(5));
         assert!(bad_epoch.run().is_err(), "epoch below reconfig must error");
+    }
+
+    #[test]
+    fn non_finite_and_zero_loads_are_errors_at_both_fidelities() {
+        for (load, shown) in [(f64::INFINITY, "inf"), (f64::NAN, "NaN"), (0.0, "0")] {
+            for fidelity in [Fidelity::Exact, Fidelity::Estimate] {
+                let err = ScenarioSpec::new("bad-load")
+                    .with_load(load)
+                    .with_fidelity(fidelity)
+                    .run()
+                    .expect_err("an unusable load must be an error");
+                assert_eq!(
+                    err,
+                    format!("scenario bad-load: load must be finite and positive, got {shown}"),
+                    "{fidelity:?}"
+                );
+            }
+        }
     }
 
     #[test]

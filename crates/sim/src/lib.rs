@@ -7,13 +7,13 @@
 //!   Optical switching times in the reproduced paper span *nanoseconds to
 //!   milliseconds*, so the kernel works in integer nanoseconds throughout and
 //!   never touches floating point on the hot path.
-//! * [`EventQueue`] — a stable-order event queue: events pop in
-//!   `(time, stamp, seq)` order, where the stamp is the scheduling time
-//!   (the current clock unless given explicitly, so plain scheduling
-//!   breaks ties in insertion order). It is generic over the event payload, so
-//!   domain crates define their own event enums, drive their own loops and
-//!   keep full ownership of their state: no `Box<dyn Fn>` trampolines, no
-//!   interior mutability.
+//! * [`EventQueue`] — a stable-order event queue, a binary heap whose
+//!   events pop in `(time, stamp, seq)` order, where the stamp is the
+//!   scheduling time (the current clock unless given explicitly, so plain
+//!   scheduling breaks ties in insertion order). It is generic over the
+//!   event payload, so domain crates define their own event enums, drive
+//!   their own loops and keep full ownership of their state: no
+//!   `Box<dyn Fn>` trampolines, no interior mutability.
 //! * [`SimRng`] — a self-contained xoshiro256\*\* PRNG seeded via splitmix64.
 //!   Every run in the workspace is reproducible from a single `u64` seed;
 //!   independent sub-streams are created with [`SimRng::fork`].

@@ -26,14 +26,14 @@ proptest! {
         }
     }
 
-    /// Differential test of the ladder queue against a naive reference
+    /// Differential test of the event queue against a naive reference
     /// model: interleaved schedules (with delays spanning 0 ns to ms,
     /// mimicking the simulator's packet/epoch/app mix) and pops must
     /// deliver the byte-identical `(time, payload)` sequence a total
     /// `(time, insertion)` sort would — the property the golden traces
     /// rely on when the queue's internals change.
     #[test]
-    fn ladder_queue_matches_reference_model(
+    fn queue_matches_reference_model(
         ops in proptest::collection::vec((0u8..4, 0u64..u64::MAX), 1..400),
     ) {
         let mut q = EventQueue::new();

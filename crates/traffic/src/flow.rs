@@ -88,7 +88,10 @@ impl FlowGenerator {
         line_rate: BitRate,
         rng: SimRng,
     ) -> Self {
-        assert!(load > 0.0 && load.is_finite(), "load must be positive");
+        assert!(
+            load > 0.0 && load.is_finite(),
+            "load must be finite and positive, got {load}"
+        );
         let mean_gap =
             mean_flow_gap(load, matrix.n(), line_rate, &sizes).unwrap_or_else(|e| panic!("{e}"));
         FlowGenerator {
@@ -205,6 +208,12 @@ mod tests {
             BitRate::GBPS_10,
             SimRng::new(1),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "load must be finite and positive, got NaN")]
+    fn nan_load_rejected() {
+        generator(f64::NAN);
     }
 
     #[test]

@@ -39,6 +39,19 @@ cargo tree --offline --locked --manifest-path perfbench/Cargo.toml >/dev/null \
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> shuffle at 1024 ports under a 1 GiB address-space cap (traffic matrices sized by their support)"
+# The 1023 shuffle stages list 1024 cells each; as dense n² arrays they
+# needed ~8 GiB. One sweep thread and K = 1: every worker thread
+# reserves its own malloc arena, so more threads would grow the address
+# space with the host's CPU count. The subshell's ulimit binds only it.
+( ulimit -v 1048576; target/release/sweep run shuffle --ports 1024 \
+    --fidelity exact,estimate --duration-ms 1 --profile lean --threads 1 \
+    --out ci_shuffle_1024 >/dev/null ) \
+    || { echo "ci.sh: shuffle at 1024 ports failed under a 1 GiB address-space cap"; exit 1; }
+shuffle_rows=$(grep -c '"error": null' results/ci_shuffle_1024.json)
+[ "$shuffle_rows" = 2 ] \
+    || { echo "ci.sh: shuffle at 1024 ports wrote $shuffle_rows error-free rows, want 2 (exact, estimate)"; exit 1; }
+
 echo "==> experiment binaries and examples (every one must run and exit 0)"
 # Compiling them proves nothing about run time: a panic, or fig2_pipeline's
 # failed-invariant exit, must fail CI. Output is shown only on failure.

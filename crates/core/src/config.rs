@@ -170,11 +170,25 @@ impl NodeConfig {
         }
     }
 
-    /// Validates cross-field consistency.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.n_ports < 2 {
+    /// Checks a port count on its own: at least 2, and at most 65,535,
+    /// since ports are 16-bit. [`validate`](Self::validate) runs it first;
+    /// a caller that sizes anything by `n` before it has a whole
+    /// configuration can run it earlier.
+    pub fn check_ports(n: usize) -> Result<(), String> {
+        if n < 2 {
             return Err("need at least 2 ports".into());
         }
+        if n > usize::from(u16::MAX) {
+            return Err(format!(
+                "{n} ports: ports are 16-bit, so a fabric has at most 65,535 ports"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validates cross-field consistency.
+    pub fn validate(&self) -> Result<(), String> {
+        Self::check_ports(self.n_ports)?;
         if self.mtu == 0 {
             return Err("MTU must be positive".into());
         }
@@ -246,6 +260,16 @@ mod tests {
         let mut cfg2 = NodeConfig::fast(8, SimDuration::from_micros(10), hw());
         cfg2.n_ports = 1;
         assert!(cfg2.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_the_port_space_at_16_bits() {
+        let mut cfg = NodeConfig::fast(8, SimDuration::from_micros(10), hw());
+        cfg.n_ports = 65_535;
+        cfg.validate().unwrap();
+        cfg.n_ports = 65_536;
+        let err = cfg.validate().expect_err("ports are u16");
+        assert!(err.contains("at most 65,535 ports"), "{err}");
     }
 
     #[test]

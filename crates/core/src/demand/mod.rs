@@ -32,6 +32,17 @@ struct SupportTracker {
     stale: usize,
 }
 
+impl SupportTracker {
+    /// A tracker over `cells` cells that holds none of them.
+    fn empty(cells: usize) -> Self {
+        SupportTracker {
+            cells: Vec::new(),
+            member: vec![false; cells],
+            stale: 0,
+        }
+    }
+}
+
 /// An `n × n` matrix of demanded bytes from each input to each output.
 ///
 /// Equality and the golden-trace surface consider only the port count
@@ -63,10 +74,12 @@ impl DemandMatrix {
     }
 
     /// The zero matrix with support tracking enabled (see
-    /// [`track_support`](Self::track_support)).
+    /// [`track_support`](Self::track_support)). Its tracker starts empty:
+    /// no cell is scanned, so the `n²` zeroed pages are not touched until
+    /// a write lands on them.
     pub fn zero_tracked(n: usize) -> Self {
         let mut m = Self::zero(n);
-        m.track_support();
+        m.support = Some(Box::new(SupportTracker::empty(n * n)));
         m
     }
 
@@ -88,11 +101,7 @@ impl DemandMatrix {
         if self.support.is_some() {
             return;
         }
-        let mut t = SupportTracker {
-            cells: Vec::new(),
-            member: vec![false; self.bytes.len()],
-            stale: 0,
-        };
+        let mut t = SupportTracker::empty(self.bytes.len());
         for (idx, &v) in self.bytes.iter().enumerate() {
             if v > 0 {
                 t.member[idx] = true;

@@ -1724,14 +1724,9 @@ mod tests {
     #[test]
     fn voq_pairs_follow_the_traffic_at_any_shard_count() {
         let n = 64;
-        let mut w = vec![0.0; n * n];
-        for k in [1, 9, 33, 57] {
-            for s in 0..n {
-                w[s * n + (s + k) % n] = 1.0;
-            }
-        }
-        let matrix = TrafficMatrix::from_weights(n, w).unwrap();
-        let cells = matrix.rows().flatten().filter(|&&f| f > 0.0).count() as u64;
+        let matrix = TrafficMatrix::rings(n, &[1, 9, 33, 57]);
+        let mut cells = 0u64;
+        matrix.for_each_cell(|_, _, f| cells += u64::from(f > 0.0));
         assert_eq!(cells, 4 * n as u64);
         let mk = |k| {
             SimBuilder::new(hw_cfg(n))

@@ -158,9 +158,10 @@ impl ScheduleModel {
 }
 
 /// Per-destination demand structure, scanned once row-major: column
-/// demand fractions and in-degrees in a single sequential pass over the
-/// matrix (repeated per-destination column walks are cache-hostile at
-/// kilofabric sizes and were the estimate tier's former hot spot).
+/// demand fractions and in-degrees in a single walk over the matrix's
+/// support (`TrafficMatrix::for_each_cell`: the listed cells of a
+/// permutation-like pattern, every off-diagonal cell over a non-zero
+/// background), so a sparse pattern costs `O(n·k)`, not `O(n²)`.
 pub(crate) struct MatrixSummary {
     /// Column sums (per-destination offered fraction).
     pub cols: Vec<f64>,
@@ -175,14 +176,12 @@ impl MatrixSummary {
         let n = matrix.n();
         let mut cols = vec![0.0f64; n];
         let mut in_deg = vec![0u32; n];
-        for row in matrix.rows() {
-            for (d, &f) in row.iter().enumerate() {
-                cols[d] += f;
-                if f > ACTIVE_EPS {
-                    in_deg[d] += 1;
-                }
+        matrix.for_each_cell(|_, d, f| {
+            cols[d] += f;
+            if f > ACTIVE_EPS {
+                in_deg[d] += 1;
             }
-        }
+        });
         for deg in &mut in_deg {
             *deg = (*deg).max(1);
         }

@@ -141,16 +141,7 @@ impl TrafficPattern {
                 TrafficMatrix::incast(n, (*senders).clamp(1, n - 1), *target % n)
             }
             TrafficPattern::Zipf { exponent } => TrafficMatrix::zipf(n, *exponent, rng),
-            TrafficPattern::MultiRing { shifts } => {
-                let mut w = vec![0.0; n * n];
-                for &k in shifts {
-                    let k = (k % n).max(1);
-                    for s in 0..n {
-                        w[s * n + (s + k) % n] = 1.0;
-                    }
-                }
-                TrafficMatrix::from_weights(n, w).expect("ring union is valid")
-            }
+            TrafficPattern::MultiRing { shifts } => TrafficMatrix::rings(n, shifts),
             TrafficPattern::ShuffleStages { .. } => TrafficMatrix::permutation(n, 1),
             TrafficPattern::ChurnHotspot {
                 pairs, fraction, ..
@@ -867,9 +858,10 @@ impl ScenarioSpec {
     /// the configuration, the matrix, the effective load and the workload
     /// RNG (only the exact tier draws from it).
     fn prologue(&self) -> Result<(NodeConfig, TrafficMatrix, f64, SimRng), String> {
-        if self.n_ports < 2 {
-            return Err(format!("scenario {}: need at least 2 ports", self.name));
-        }
+        // Before anything is sized by the port count: the node
+        // configuration builds the scheduler to cost its decisions.
+        NodeConfig::check_ports(self.n_ports)
+            .map_err(|e| format!("scenario {}: {e}", self.name))?;
         if self.load <= 0.0 || !self.load.is_finite() {
             return Err(format!(
                 "scenario {}: load must be finite and positive, got {}",
@@ -1114,6 +1106,19 @@ mod tests {
                     "{fidelity:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn fabrics_beyond_the_16_bit_port_space_are_errors_at_both_fidelities() {
+        // Rejected before the scheduler or the matrix is sized by n.
+        let spec = ScenarioSpec::new("huge").with_ports(65_536);
+        let want =
+            "scenario huge: 65536 ports: ports are 16-bit, so a fabric has at most 65,535 ports";
+        assert_eq!(spec.build().err().as_deref(), Some(want), "build");
+        for fidelity in [Fidelity::Exact, Fidelity::Estimate] {
+            let err = spec.clone().with_fidelity(fidelity).run().unwrap_err();
+            assert_eq!(err, want, "{fidelity:?}");
         }
     }
 

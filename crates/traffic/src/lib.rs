@@ -9,8 +9,8 @@
 //! * [`size_dist`] — heavy-tailed flow-size distributions, including
 //!   empirical CDFs shaped after the published web-search (DCTCP) and
 //!   data-mining (VL2) workloads;
-//! * [`matrix`] — traffic matrices: uniform, permutation, hotspot, Zipf,
-//!   incast;
+//! * [`matrix`] — traffic matrices, stored by their support: uniform,
+//!   permutation, hotspot, Zipf, incast, rings, shuffle stages;
 //! * [`flow`] — the flow generator: Poisson arrivals of flows drawn from a
 //!   matrix and a size distribution, calibrated to an offered load relative
 //!   to aggregate line rate;
